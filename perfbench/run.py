@@ -6,9 +6,11 @@ Run from the repository root:
 
 Workloads, metrics and what each metric should move are described in
 perfbench/README.md; names and units come from BENCHMARK.json.  Every
-pass runs in a fresh interpreter (shim.py).  ``--trace 0`` times untraced
-passes and prints the end-to-end metrics; ``--trace 1`` alternates
-untraced and traced passes and prints the per-layer metrics.
+pass runs in a fresh interpreter (shim.py), which probes the host's speed
+between pieces of work (refwalk.py) and rescales its times to a reference
+host speed.  ``--trace 0`` times untraced passes and prints the end-to-end
+metrics; ``--trace 1`` alternates untraced and traced passes and prints the
+per-layer metrics.
 
 Gates run before any timing counts: count_by_genus against OEIS A007323,
 then an untimed warm-up pass that must pass every output check; every
@@ -149,7 +151,7 @@ def check_pass(gates, args, res, golden):
     gates.add("digest", *check_csv(res["stdout"], kind, lo, hi, golden))
     gates.add("population", len(res["rows"]),
               [f"genus {g}: {n} != A007323 {A007323[g]}"
-               for g, _, n, _ in res["rows"] if n != A007323[g]])
+               for g, _, _, n, _ in res["rows"] if n != A007323[g]])
     if kind == "lgm":
         gates.add("selfcheck", 1, [] if "selfcheck passed" in err else [err[-400:]])
 
@@ -199,20 +201,44 @@ def timed_passes(seconds, deadline, run_one):
 # ---------------------------------------------------------------------------
 # metrics
 
-def _quantiles_us(samples_s):
-    pct = statistics.quantiles(samples_s, n=100, method="inclusive")
-    return pct[49] * 1e6, pct[98] * 1e6
+def _latencies_us(args, res) -> list[float]:
+    """Each evaluation of one pass, in order, rescaled, in microseconds.
 
-
-def end_to_end(args, res) -> dict:
+    An evaluation is one genus row (one ``map_reduce_genus`` call) for the
+    tables and one (semigroup, q) evaluation for bounds-sweep.
+    """
     if TABLE_KIND.get(args.workload):
-        p50, p99 = _quantiles_us([r[1] for r in res["rows"]])
-        samples = len(res["rows"])
-    else:
-        (p50, p99), samples = res["eval_us"], res["eval_samples"]
-    return {"wall_s": res["wall_s"], "items_per_s": res["items"] / res["wall_s"],
-            "setup_s": res["setup_s"], "peak_rss_mb": res["peak_rss_kb"] / 1024,
-            "eval_p50_us": p50, "eval_p99_us": p99, "eval_samples": samples}
+        return [r[2] * 1e6 for r in res["rows"]]
+    return res["eval_us"]
+
+
+def end_to_end(args, passes) -> tuple[dict, list[dict]]:
+    """The run's metrics, and each pass's own numbers.
+
+    Times are rescaled to the reference host by the pass's probes
+    (refwalk.py), so they read as on a host on which the probe walk takes
+    REF_PROBE_S.  The raw times are kept as wall_s and setup_raw_s, and
+    the median probe time of each pass as probe_s.  Each metric is the
+    median over the passes, except the latency quantiles: every pass
+    evaluates the same inputs, so each evaluation's latency is its median
+    over the passes, and the quantiles are taken over the evaluations.
+    That keeps a momentary stall of the host out of the tail.
+    """
+    per_pass, latencies = [], []
+    for res in passes:
+        wall = res["wall_ref_s"]
+        per_pass.append({"wall_ref_s": wall, "items_per_ref_s": res["items"] / wall,
+                         "setup_s": res["setup_ref_s"],
+                         "peak_rss_mb": res["peak_rss_kb"] / 1024,
+                         "wall_s": res["wall_s"], "setup_raw_s": res["setup_s"],
+                         "probe_s": statistics.median(res["probe_s"])})
+        latencies.append(_latencies_us(args, res))
+    each = [statistics.median(evals) for evals in zip(*latencies, strict=True)]
+    pct = statistics.quantiles(each, n=100, method="inclusive")
+    values = medians(per_pass)
+    values.update(eval_p50_ref_us=pct[49], eval_p99_ref_us=pct[98],
+                  eval_samples=len(each), passes=len(passes))
+    return values, per_pass
 
 
 def per_layer(args, off, primary, full, loc) -> dict:
@@ -232,7 +258,7 @@ def per_layer(args, off, primary, full, loc) -> dict:
 
     out = {}
     rows = full.get("rows", [])
-    nodes = sum(r[3] for r in rows)
+    nodes = sum(r[4] for r in rows)
     top = GENUS[args.workload][args.size][1] if rows else 0
     out["enumeration.nodes_walked"] = nodes
     out["enumeration.rewalk_ratio"] = nodes / sum(A007323[:top + 1]) if rows else 0.0
@@ -263,7 +289,9 @@ def per_layer(args, off, primary, full, loc) -> dict:
     out["survey.selfcheck_s"] = total("survey.selfcheck")
     out["cli.self_s"] = own("cli.main")
     out["run.cpu_s"] = primary["cpu_s"]
-    out["run.trace_overhead"] = primary["wall_s"] / off["wall_s"]
+    out["run.wall_s"] = off["wall_s"]
+    out["host.probe_s"] = statistics.median(off["probe_s"])
+    out["run.trace_overhead"] = primary["wall_ref_s"] / off["wall_ref_s"]
     out["src.loc"] = loc
     return out
 
@@ -324,14 +352,14 @@ def main(argv=None) -> int:
     correct = not gates.failures
     if correct:
         if args.trace == 0:
-            samples = [end_to_end(args, off) for off, in runs]
+            values, samples = end_to_end(args, [off for off, in runs])
             units = spec_file["end_to_end"]
         else:
             samples = [per_layer(args, *passes, env["src_loc"]) for passes in runs]
+            values = medians(samples)
             units = spec_file["per_layer"]
-        values = medians(samples)
         metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in units}
-        record["samples"] = samples
+        record.update(samples=samples, values=values)
     env["loadavg_after"] = os.getloadavg()
     record.update(correct=correct, attempted=gates.attempted, failed=len(gates.failures),
                   fail_ratio=len(gates.failures) / max(gates.attempted, 1),

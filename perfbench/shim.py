@@ -7,7 +7,9 @@ load) is timed from the spawn time the parent passes in; CLOCK_MONOTONIC
 is shared by all processes.  Table passes run the real CLI in-process
 with stdout and stderr captured; bounds-sweep runs ``nsgbounds verify``
 the same way and then a seeded batch through the library API.  The pass
-prints one JSON object on stdout.
+stops at row and batch boundaries for short probe walks (refwalk.py), one
+walk per worker, that measure the host's speed while it runs; the probes
+are not counted as work.  The pass prints one JSON object on stdout.
 
 Spec keys: workload, size, seed, workers, trace ("off", "parent" or
 "full"), inject (null, "reference", "digest" or "sweep"), spans_path.
@@ -19,11 +21,11 @@ import json
 import multiprocessing
 import os
 import resource
-import statistics
 import sys
 import time
 import traceback
 
+from refwalk import HostClock, cpu_s
 from tracer import Tracer
 from workloads import (BATCH, Q_SWEEP, SWEEP, TABLE_KIND, semigroup_batch, sweep_cases,
                        table_argv)
@@ -37,6 +39,22 @@ COARSE = ("cli.main", "enumeration.map_reduce", "enumeration.enumerate_genus",
 def _cpu(who) -> float:
     r = resource.getrusage(who)
     return r.ru_utime + r.ru_stime
+
+
+def _own_peak_rss_kb() -> int:
+    """Peak resident memory of this process since it was exec'd.
+
+    ru_maxrss also keeps the peak of the process image before exec, which
+    is run.py's at the moment it started this pass; VmHWM is reset by exec.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 class PoolProbe:
@@ -142,44 +160,60 @@ def _trace_layers(tracer, mods, full):
         patch("survey.leaf", survey, attr)
 
 
-def _hook_rows(survey, enumeration, rows, fold=None):
-    """Record (genus, seconds, population, nodes) for every table row.
+def _hook_rows(survey, enumeration, rows, tick, traced, fold=None):
+    """Record (genus, start, end, population, nodes) for every table row.
 
-    ``fold``, when given, wraps the row's merge function; only serial
-    passes pass it, since in a pooled pass the merge runs in the workers.
+    After each row the host clock may probe the host, and so it may after
+    each genus the selfcheck walks, unless the pass is traced: there a
+    probe would count in the selfcheck's span.  ``fold``, when given,
+    wraps the row's merge function; only serial passes pass it, since in
+    a pooled pass the merge runs in the workers.
     """
-    inner = survey.map_reduce_genus
+    inner, walk = survey.map_reduce_genus, survey.enumerate_genus
 
     def map_reduce_genus(g, map_fn, zero, add_fn=enumeration.tuple_add, **kwargs):
         if fold is not None:
             add_fn = fold(add_fn)
         start = time.perf_counter()
         acc, nodes = inner(g, map_fn, zero, add_fn, **kwargs)
-        rows.append((g, time.perf_counter() - start, acc[0], nodes))
+        rows.append((g, start, time.perf_counter(), acc[0], nodes))
+        tick()
         return acc, nodes
 
+    def enumerate_genus(*args, **kwargs):
+        leaves = walk(*args, **kwargs)
+        tick()
+        return leaves
+
     survey.map_reduce_genus = map_reduce_genus
+    if not traced:
+        survey.enumerate_genus = enumerate_genus
 
 
 def _run_cli(cli, argv):
     out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return time.perf_counter() - start, code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def table_pass(spec, mods, tracer):
+def table_pass(spec, mods, tracer, clock):
+    """Run the table CLI once; returns the result and its (start, end)."""
     bounds, cli, enumeration, semigroup, survey = mods
     rows = []
     fold = None
     if spec["trace"] == "full":
         fold = lambda add_fn: tracer.wrap("survey.fold", add_fn)  # noqa: E731
-    _hook_rows(survey, enumeration, rows, fold)
+    _hook_rows(survey, enumeration, rows, clock.tick, tracer is not None, fold)
     argv = table_argv(spec["workload"], spec["size"], spec["seed"], spec["workers"])
-    wall, code, out, err = _run_cli(cli, argv)
-    return {"wall_s": wall, "exit": code, "stdout": out, "stderr": err,
-            "rows": rows, "items": sum(r[2] for r in rows)}
+    start = time.perf_counter()
+    code, out, err = _run_cli(cli, argv)
+    end = time.perf_counter()
+    clock.close()
+    # Each row's time: (genus, raw s, rescaled s, population, nodes).
+    rows = [(g, *clock.span(a, b), n, nodes) for g, a, b, n, nodes in rows]
+    return {"exit": code, "stdout": out, "stderr": err,
+            "rows": rows, "items": sum(r[3] for r in rows)}, (start, end)
 
 
 def _check_eval(S, q, rep, cls, reduced_ok) -> bool:
@@ -192,7 +226,8 @@ def _check_eval(S, q, rep, cls, reduced_ok) -> bool:
             and cls.gm_generators + cls.non_gm_generators == gens)
 
 
-def bounds_pass(spec, mods, tracer):
+def bounds_pass(spec, mods, tracer, clock):
+    """Run verify and the batch once; returns the result and its (start, end)."""
     bounds, cli, enumeration, semigroup, survey = mods
     a_max, b_max = SWEEP[spec["size"]]
     batch = semigroup_batch(spec["seed"], BATCH[spec["size"]])
@@ -204,21 +239,27 @@ def bounds_pass(spec, mods, tracer):
         run_batch = tracer.wrap("bench.batch", _batch)
 
     start = time.perf_counter()
-    _, code, out, err = _run_cli(cli, argv)
-    lat_ns, failures = run_batch(bounds, semigroup, batch)
-    wall = time.perf_counter() - start
-
-    pct = statistics.quantiles(lat_ns, n=100, method="inclusive")
-    return {"wall_s": wall, "exit": code, "stdout": out, "stderr": err,
+    code, out, err = _run_cli(cli, argv)
+    clock.tick()
+    evals, failures = run_batch(bounds, semigroup, batch, clock.tick)
+    end = time.perf_counter()
+    clock.close()
+    # Each evaluation's latency, rescaled by the segment it ran in.
+    eval_us = [ns / 1e3 * clock.scale_at(t / 1e9) for t, ns in evals]
+    return {"exit": code, "stdout": out, "stderr": err,
             "evals": len(batch) * len(Q_SWEEP), "eval_failures": failures,
             "items": sweep_cases(a_max, b_max) + len(batch) * len(Q_SWEEP),
-            "eval_us": [pct[49] / 1e3, pct[98] / 1e3], "eval_samples": len(lat_ns)}
+            "eval_us": eval_us}, (start, end)
 
 
-def _batch(bounds, semigroup, batch):
-    """Evaluate each (generators, q) pair as ``nsgbounds bounds --check`` does."""
+def _batch(bounds, semigroup, batch, tick):
+    """Evaluate each (generators, q) pair as ``nsgbounds bounds --check`` does.
+
+    Returns (start, nanoseconds) of every evaluation, and the failures.
+    ``tick`` runs between generator sets, outside the timings.
+    """
     clock = time.perf_counter_ns
-    lat_ns = []
+    evals = []
     failures = []
     for gens in batch:
         for q in Q_SWEEP:
@@ -231,10 +272,11 @@ def _batch(bounds, semigroup, batch):
             except Exception:  # a failed operation is counted, not fatal
                 failures.append(f"{gens} q={q}: {traceback.format_exc(limit=1)}")
                 continue
-            lat_ns.append(clock() - start)
+            evals.append((start, clock() - start))
             if not _check_eval(S, q, rep, cls, reduced_ok):
                 failures.append(f"{gens} q={q}: invariant violated")
-    return lat_ns, failures
+        tick()
+    return evals, failures
 
 
 def main():
@@ -257,16 +299,19 @@ def main():
             probe = PoolProbe(multiprocessing.get_context("fork"))
     _inject(cli, spec["inject"])
 
-    if kind is not None:
-        result = table_pass(spec, mods, tracer)
-    else:
-        result = bounds_pass(spec, mods, tracer)
-
-    me = resource.getrusage(resource.RUSAGE_SELF)
+    run = table_pass if kind is not None else bounds_pass
+    cpu = cpu_s()
+    clock = HostClock(spec["workers"])
+    if tracer is not None:  # probes are their own span, not the caller's self time
+        clock.tick = tracer.wrap("bench.probe", clock.tick)
+    result, (start, end) = run(spec, mods, tracer, clock)
+    cpu = cpu_s() - cpu
+    wall_s, wall_ref_s = clock.span(start, end)
     kids = resource.getrusage(resource.RUSAGE_CHILDREN)
-    result.update(setup_s=setup_s,
-                  cpu_s=me.ru_utime + me.ru_stime + kids.ru_utime + kids.ru_stime,
-                  peak_rss_kb=max(me.ru_maxrss, kids.ru_maxrss))
+    result.update(wall_s=wall_s, wall_ref_s=wall_ref_s, cpu_s=cpu - clock.probe_cpu_s,
+                  setup_s=setup_s, setup_ref_s=setup_s * clock.setup_scale,
+                  probe_s=clock.probes,
+                  peak_rss_kb=max(_own_peak_rss_kb(), kids.ru_maxrss))
     if tracer is not None:
         result["stats"] = tracer.stats
         if probe is not None:
