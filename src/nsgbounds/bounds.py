@@ -197,7 +197,12 @@ def coincidence_criterion(S: NumericalSemigroup, q: int) -> bool:
     _check_q(q)
     gens = S.min_generators
     l1 = gens[0]
-    return all(is_member(S, q * (g - l1)) for g in gens[1:])
+    conductor, bitmap = S.conductor, S.member_bitmap
+    for g in gens[1:]:
+        d = q * (g - l1)
+        if d < conductor and not (bitmap >> d) & 1:
+            return False
+    return True
 
 
 def sufficient_condition(S: NumericalSemigroup, q: int) -> bool:

@@ -255,7 +255,6 @@ def _cmd_table(args) -> int:
     if truncated:
         return EXIT_RESOURCE
 
-    status = EXIT_OK
     if args.reference is not None:
         if args.reference == "auto":
             ref_text = load_reference(args.kind)
@@ -279,7 +278,7 @@ def _cmd_table(args) -> int:
         if mismatches:
             return EXIT_MISMATCH
         print(f"selfcheck passed on {checked} sampled semigroups", file=sys.stderr)
-    return status
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -9,16 +9,33 @@ to depth g therefore visits every semigroup of genus g exactly once.
 
 Traversal state is a fixed window bitset over [0, 3*g + 2), which is
 enough because a genus-g semigroup has conductor at most 2g and minimal
-generators at most 3g.  Minimal generator sets are maintained
-incrementally: removing lam keeps every other generator minimal and can
-only create new generators in (lam, lam + multiplicity].
+generators at most 3g.  The walk keeps each node as a plain tuple
+(bits, frobenius, genus, min_generators, multiplicity), in the field
+order of :class:`TreeNode`; a TreeNode is built only for a caller that
+receives one.
+
+Child expansion is all bitwise.  Removing the generator lam = gens[i]
+gives the child with bits ``bits`` minus lam and Frobenius number lam;
+its multiplicity m is the parent's, or the next member when lam was the
+multiplicity.  Members below lam keep their decompositions, so gens[:i]
+stay minimal and no new generator appears below lam.  Every minimal
+generator lies below conductor + multiplicity, so the child's other
+generators are members of the window (lam, lam + m]; each old generator
+above lam lies there too.  A window member is reducible iff it is g + s
+for a nonzero member s and a generator g < lam, since any generator
+above lam plus a nonzero member exceeds lam + m.  So with ``red`` the OR
+of the nonzero members shifted by each of gens[:i], the child's
+generators are gens[:i] followed by the set bits of the child's bits
+masked by the window and by ~red, already in ascending order.
 """
 
 import multiprocessing
+import pickle
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import ResourceLimit
-from .semigroup import NumericalSemigroup
+from .errors import NsgError, ResourceLimit
+from .semigroup import NumericalSemigroup, bit_indices
 
 __all__ = [
     "TreeNode",
@@ -55,55 +72,60 @@ class TreeNode:
         return NumericalSemigroup(self.min_generators, conductor, self.genus, bitmap)
 
 
+def _raw(node: TreeNode) -> tuple:
+    return (node.bits, node.frobenius, node.genus, node.min_generators, node.multiplicity)
+
+
+def _root(max_genus: int) -> tuple:
+    # floor of 8 keeps the window usable even at genus 0
+    window = max(3 * max_genus + 2, 8)
+    return ((1 << window) - 1, -1, 0, (1,), 1)
+
+
 def root_node(max_genus: int) -> TreeNode:
     """The full semigroup, with a bit window sized for ``max_genus``."""
-    # floor of 8 keeps children() usable even on a genus-0 window
-    window = max(3 * max_genus + 2, 8)
-    return TreeNode(bits=(1 << window) - 1, frobenius=-1, genus=0,
-                    min_generators=(1,), multiplicity=1)
+    return TreeNode(*_root(max_genus))
 
 
-def _lowest_nonzero_member(bits: int) -> int:
-    t = bits & ~1
-    return (t & -t).bit_length() - 1
-
-
-def children(node: TreeNode) -> list[TreeNode]:
-    """Child semigroups, in increasing removed-generator order."""
+def _expand(node: tuple) -> list[tuple]:
+    """Raw children of a raw node, in increasing removed-generator order."""
+    bits, frobenius, genus, gens, m = node
     out = []
-    gens = node.min_generators
-    gens_set = set(gens)
-    for lam in gens:
-        if lam <= node.frobenius:
-            continue
-        cbits = node.bits & ~(1 << lam)
-        m = node.multiplicity if lam != node.multiplicity else _lowest_nonzero_member(cbits)
-        kept = [g for g in gens if g != lam]
-        new = []
-        # New minimal generators can only appear in (lam, lam + m].
-        for x in range(lam + 1, lam + m + 1):
-            if x in gens_set:
-                continue
-            reducible = False
-            for y in range(m, x // 2 + 1):
-                if (cbits >> y) & 1 and (cbits >> (x - y)) & 1:
-                    reducible = True
-                    break
-            if not reducible:
-                new.append(x)
-        out.append(TreeNode(bits=cbits, frobenius=lam, genus=node.genus + 1,
-                            min_generators=tuple(sorted(kept + new)),
-                            multiplicity=m))
+    for i in range(bisect_right(gens, frobenius), len(gens)):
+        lam = gens[i]
+        cbits = bits & ~(1 << lam)
+        nonzero = cbits & ~1
+        # i == 0 removes the multiplicity: the next member takes its place
+        cm = m if i else (nonzero & -nonzero).bit_length() - 1
+        red = 0
+        for g in gens[:i]:
+            red |= nonzero << g
+        fresh = cbits & ~red & (((1 << cm) - 1) << (lam + 1))
+        out.append((cbits, lam, genus + 1, gens[:i] + tuple(bit_indices(fresh)), cm))
     return out
 
 
-def _walk(start: TreeNode, target_genus: int, budget: int,
-          leaf_fn=None, node_fn=None) -> tuple[int, int]:
-    """Depth-first walk from ``start`` down to ``target_genus``.
+def children(node: TreeNode) -> list[TreeNode]:
+    """Child semigroups, in increasing removed-generator order.
 
-    Returns (leaves, nodes): semigroups seen at the target genus and
-    total tree nodes touched.  Raises ResourceLimit as soon as the node
-    count would exceed ``budget``.
+    The child that removes the generator lam = min_generators[i] has
+    bits ``node.bits`` with lam cleared, Frobenius number lam, and
+    minimal generators min_generators[:i] followed by the members of
+    the window (lam, lam + m] that are not g + s for a nonzero member s
+    and a generator g < lam, where m is the child's multiplicity (the
+    next member after lam when lam was the multiplicity).
+    """
+    return [TreeNode(*kid) for kid in _expand(_raw(node))]
+
+
+def _walk(start: tuple, target_genus: int, budget: int,
+          leaf_fn=None, node_fn=None) -> tuple[int, int]:
+    """Depth-first walk from the raw node ``start`` down to ``target_genus``.
+
+    ``node_fn`` and ``leaf_fn`` receive TreeNodes.  Returns (leaves,
+    nodes): semigroups seen at the target genus and total tree nodes
+    touched.  Raises ResourceLimit as soon as the node count would
+    exceed ``budget``.
     """
     leaves = 0
     nodes = 0
@@ -114,13 +136,13 @@ def _walk(start: TreeNode, target_genus: int, budget: int,
         if nodes > budget:
             raise ResourceLimit(f"node budget of {budget} exceeded")
         if node_fn is not None:
-            node_fn(node)
-        if node.genus >= target_genus:
+            node_fn(TreeNode(*node))
+        if node[2] >= target_genus:
             leaves += 1
             if leaf_fn is not None:
-                leaf_fn(node)
+                leaf_fn(TreeNode(*node))
             continue
-        stack.extend(reversed(children(node)))
+        stack.extend(reversed(_expand(node)))
     return leaves, nodes
 
 
@@ -136,7 +158,7 @@ def enumerate_genus(g: int, visitor=None, *, node_budget: int | None = None) -> 
         raise ValueError("genus must be non-negative")
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
     leaf_fn = None if visitor is None else (lambda node: visitor(node.semigroup()))
-    leaves, _ = _walk(root_node(g), g, budget, leaf_fn=leaf_fn)
+    leaves, _ = _walk(_root(g), g, budget, leaf_fn=leaf_fn)
     return leaves
 
 
@@ -150,7 +172,7 @@ def count_by_genus(g_max: int, *, node_budget: int | None = None) -> list[int]:
     def tally(node):
         counts[node.genus] += 1
 
-    _walk(root_node(g_max), g_max, budget, node_fn=tally)
+    _walk(_root(g_max), g_max, budget, node_fn=tally)
     return counts
 
 
@@ -167,7 +189,7 @@ def _fold_subtree(args):
         nonlocal acc
         acc = add_fn(acc, map_fn(n.semigroup()))
 
-    _, nodes = _walk(node, target, budget, leaf_fn=leaf)
+    _, nodes = _walk(_raw(node), target, budget, leaf_fn=leaf)
     return acc, nodes
 
 
@@ -182,25 +204,30 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     ``split_depth`` are processed by a process pool and merged in a
     fixed order, so results are identical for any worker count.
 
+    Worker processes receive ``map_fn``, ``add_fn`` and ``zero`` by
+    pickling, so with ``workers`` > 1 each of them must be picklable
+    (a module-level function, not a lambda or nested function);
+    NsgError is raised otherwise, before any worker starts.
+
     Returns (aggregate, nodes_walked).
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
+    if workers > 1:
+        for name, value in (("map_fn", map_fn), ("add_fn", add_fn), ("zero", zero)):
+            try:
+                pickle.dumps(value)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise NsgError(f"workers > 1 needs a picklable {name}, such as a "
+                               f"module-level function: {exc}") from None
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
     depth = split_depth if split_depth is not None else min(4, g)
 
     if workers <= 1 or depth >= g or depth < 1:
-        acc = zero
-
-        def leaf(node):
-            nonlocal acc
-            acc = add_fn(acc, map_fn(node.semigroup()))
-
-        _, nodes = _walk(root_node(g), g, budget, leaf_fn=leaf)
-        return acc, nodes
+        return _fold_subtree((root_node(g), g, map_fn, add_fn, zero, budget))
 
     units: list[TreeNode] = []
-    _, split_nodes = _walk(root_node(g), depth, budget, leaf_fn=units.append)
+    _, split_nodes = _walk(_root(g), depth, budget, leaf_fn=units.append)
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         results = pool.map(_fold_subtree,

@@ -3,6 +3,7 @@
 import pytest
 
 from nsgbounds import (
+    NsgError,
     ResourceLimit,
     children,
     count_by_genus,
@@ -12,6 +13,11 @@ from nsgbounds import (
     root_node,
 )
 from nsgbounds.enumeration import tuple_add
+
+
+# OEIS A007323: the number of numerical semigroups of genus 0, 1, 2, ...
+A007323 = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693,
+           2857, 4806, 8045, 13467)
 
 
 def gap_mask(S):
@@ -38,6 +44,9 @@ class TestCounts:
             enumerate_genus(g, lambda S: seen.add(frozenset(S.gaps())))
             assert seen == gap_sets_by_genus[g]
 
+    def test_counts_match_oeis(self):
+        assert count_by_genus(18) == list(A007323)
+
     def test_no_duplicates(self):
         for g in range(9):
             masks = []
@@ -63,18 +72,22 @@ class TestVisitorSemigroups:
 
 class TestTreeStructure:
     def test_children_raise_genus_by_one(self):
-        stack = [root_node(6)]
+        # Every node to genus 14, so the ordinary semigroups, whose child
+        # removes the multiplicity itself, are expanded deep in the tree.
+        stack = [root_node(14)]
         while stack:
             node = stack.pop()
-            if node.genus >= 6:
+            if node.genus >= 14:
                 continue
             kids = children(node)
             assert [k.frobenius for k in kids] == sorted(node.effective_generators)
             for kid in kids:
                 assert kid.genus == node.genus + 1
+                assert kid.bits == node.bits & ~(1 << kid.frobenius)
                 child = from_generators(kid.min_generators)
                 assert child.genus == node.genus + 1
                 assert child == kid.semigroup()
+                assert child.multiplicity == kid.multiplicity
                 stack.append(kid)
 
     def test_parent_recovered_by_frobenius(self):
@@ -114,6 +127,13 @@ class TestMapReduce:
                                                     workers=2, split_depth=3)
         assert serial == parallel
         assert serial_nodes == parallel_nodes
+
+    @pytest.mark.parametrize("slot", ["map_fn", "add_fn"])
+    def test_parallel_rejects_unpicklable_callback(self, slot):
+        fns = {"map_fn": _one, "add_fn": tuple_add, slot: lambda *a: (1,)}
+        with pytest.raises(NsgError, match=slot):
+            map_reduce_genus(8, fns["map_fn"], (0,), fns["add_fn"],
+                             workers=2, split_depth=3)
 
     def test_parallel_budget_enforced(self):
         with pytest.raises(ResourceLimit):
