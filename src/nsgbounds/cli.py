@@ -204,30 +204,23 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _render_table(kind, rows, q_list, fmt, truncated=False):
+def _renderer(kind, fmt, q_list):
+    """The function that renders ``kind`` rows in ``fmt``; it takes the rows."""
     if kind == "lgm":
-        if fmt == "csv":
-            text = lgm_csv(rows, q_list)
-        elif fmt == "json":
-            payload = lgm_json(rows, q_list)
-            if truncated:
-                payload["truncated"] = True
-            text = json.dumps(payload, indent=2) + "\n"
-        else:
-            text = lgm_text(rows, q_list)
-    else:
-        if fmt == "csv":
-            text = gmgen_csv(rows)
-        elif fmt == "json":
-            payload = gmgen_json(rows)
-            if truncated:
-                payload["truncated"] = True
-            text = json.dumps(payload, indent=2) + "\n"
-        else:
-            text = gmgen_text(rows)
-    if truncated and fmt != "json":
-        text += "# truncated: node budget exceeded\n"
-    return text
+        render = {"csv": lgm_csv, "json": lgm_json, "text": lgm_text}[fmt]
+        return lambda rows: render(rows, q_list)
+    return {"csv": gmgen_csv, "json": gmgen_json, "text": gmgen_text}[fmt]
+
+
+def _render_table(kind, rows, q_list, fmt, truncated=False):
+    out = _renderer(kind, fmt, q_list)(rows)
+    if fmt == "json":
+        if truncated:
+            out["truncated"] = True
+        return json.dumps(out, indent=2) + "\n"
+    if truncated:
+        out += "# truncated: node budget exceeded\n"
+    return out
 
 
 def _cmd_table(args) -> int:
@@ -261,7 +254,7 @@ def _cmd_table(args) -> int:
         else:
             with open(args.reference, "r", encoding="utf-8") as fh:
                 ref_text = fh.read()
-        computed_csv = (lgm_csv(rows, q_list) if args.kind == "lgm" else gmgen_csv(rows))
+        computed_csv = _renderer(args.kind, "csv", q_list)(rows)
         compared, deviations = compare_tables(computed_csv, ref_text)
         for genus, col, got, want in deviations:
             print(f"DEVIATION genus={genus} [{col}]: computed {got}, reference {want}",

@@ -9,10 +9,14 @@ to depth g therefore visits every semigroup of genus g exactly once.
 
 Traversal state is a fixed window bitset over [0, 3*g + 2), which is
 enough because a genus-g semigroup has conductor at most 2g and minimal
-generators at most 3g.  The walk keeps each node as a plain tuple
-(bits, frobenius, genus, min_generators, multiplicity), in the field
-order of :class:`TreeNode`; a TreeNode is built only for a caller that
-receives one.
+generators at most 3g.  A node is a :class:`TreeNode`, a named tuple
+(bits, frobenius, genus, min_generators, multiplicity); the walk keeps
+plain tuples in that layout.
+
+``_walk`` is the one traversal.  It hands each raw leaf tuple to a
+single callback and returns the number of nodes it touched at each
+genus, so counting reads its return value, enumeration reads its last
+entry, and ``map_reduce_genus`` folds the leaves of subtrees.
 
 Child expansion is all bitwise.  Removing the generator lam = gens[i]
 gives the child with bits ``bits`` minus lam and Frobenius number lam;
@@ -30,9 +34,10 @@ masked by the window and by ~red, already in ascending order.
 """
 
 import multiprocessing
+import operator
 import pickle
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NsgError, ResourceLimit
 from .semigroup import NumericalSemigroup, bit_indices
@@ -51,8 +56,7 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 10 ** 8
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """One semigroup as positioned in the enumeration tree."""
 
     bits: int
@@ -67,13 +71,14 @@ class TreeNode:
         return tuple(g for g in self.min_generators if g > self.frobenius)
 
     def semigroup(self) -> NumericalSemigroup:
-        conductor = self.frobenius + 1
-        bitmap = self.bits & ((1 << conductor) - 1)
-        return NumericalSemigroup(self.min_generators, conductor, self.genus, bitmap)
+        return _semigroup(self)
 
 
-def _raw(node: TreeNode) -> tuple:
-    return (node.bits, node.frobenius, node.genus, node.min_generators, node.multiplicity)
+def _semigroup(node: tuple) -> NumericalSemigroup:
+    """The NumericalSemigroup of a raw node."""
+    bits, frobenius, genus, gens, _ = node
+    conductor = frobenius + 1
+    return NumericalSemigroup(gens, conductor, genus, bits & ((1 << conductor) - 1))
 
 
 def _root(max_genus: int) -> tuple:
@@ -84,7 +89,7 @@ def _root(max_genus: int) -> tuple:
 
 def root_node(max_genus: int) -> TreeNode:
     """The full semigroup, with a bit window sized for ``max_genus``."""
-    return TreeNode(*_root(max_genus))
+    return TreeNode._make(_root(max_genus))
 
 
 def _expand(node: tuple) -> list[tuple]:
@@ -115,19 +120,20 @@ def children(node: TreeNode) -> list[TreeNode]:
     and a generator g < lam, where m is the child's multiplicity (the
     next member after lam when lam was the multiplicity).
     """
-    return [TreeNode(*kid) for kid in _expand(_raw(node))]
+    return [TreeNode._make(kid) for kid in _expand(node)]
 
 
-def _walk(start: tuple, target_genus: int, budget: int,
-          leaf_fn=None, node_fn=None) -> tuple[int, int]:
+def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None) -> list[int]:
     """Depth-first walk from the raw node ``start`` down to ``target_genus``.
 
-    ``node_fn`` and ``leaf_fn`` receive TreeNodes.  Returns (leaves,
-    nodes): semigroups seen at the target genus and total tree nodes
-    touched.  Raises ResourceLimit as soon as the node count would
-    exceed ``budget``.
+    ``leaf_fn`` (when given) receives each node at the target genus as a
+    raw tuple in TreeNode field order, children taken in increasing
+    removed-generator order.  Returns ``sizes``: ``sizes[h]`` is the
+    number of nodes touched at genus h, for h in 0..target_genus.
+    Raises ResourceLimit as soon as the node count would exceed
+    ``budget``.
     """
-    leaves = 0
+    sizes = [0] * (target_genus + 1)
     nodes = 0
     stack = [start]
     while stack:
@@ -135,15 +141,14 @@ def _walk(start: tuple, target_genus: int, budget: int,
         nodes += 1
         if nodes > budget:
             raise ResourceLimit(f"node budget of {budget} exceeded")
-        if node_fn is not None:
-            node_fn(TreeNode(*node))
-        if node[2] >= target_genus:
-            leaves += 1
+        genus = node[2]
+        sizes[genus] += 1
+        if genus >= target_genus:
             if leaf_fn is not None:
-                leaf_fn(TreeNode(*node))
+                leaf_fn(node)
             continue
         stack.extend(reversed(_expand(node)))
-    return leaves, nodes
+    return sizes
 
 
 def enumerate_genus(g: int, visitor=None, *, node_budget: int | None = None) -> int:
@@ -157,9 +162,8 @@ def enumerate_genus(g: int, visitor=None, *, node_budget: int | None = None) -> 
     if g < 0:
         raise ValueError("genus must be non-negative")
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    leaf_fn = None if visitor is None else (lambda node: visitor(node.semigroup()))
-    leaves, _ = _walk(_root(g), g, budget, leaf_fn=leaf_fn)
-    return leaves
+    leaf_fn = None if visitor is None else (lambda node: visitor(_semigroup(node)))
+    return _walk(_root(g), g, budget, leaf_fn)[g]
 
 
 def count_by_genus(g_max: int, *, node_budget: int | None = None) -> list[int]:
@@ -167,18 +171,12 @@ def count_by_genus(g_max: int, *, node_budget: int | None = None) -> list[int]:
     if g_max < 0:
         raise ValueError("genus must be non-negative")
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    counts = [0] * (g_max + 1)
-
-    def tally(node):
-        counts[node.genus] += 1
-
-    _walk(_root(g_max), g_max, budget, node_fn=tally)
-    return counts
+    return _walk(_root(g_max), g_max, budget)
 
 
 def tuple_add(x: tuple, y: tuple) -> tuple:
     """Elementwise sum; the merge operation for tuple-shaped aggregates."""
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(operator.add, x, y))
 
 
 def _fold_subtree(args):
@@ -187,22 +185,24 @@ def _fold_subtree(args):
 
     def leaf(n):
         nonlocal acc
-        acc = add_fn(acc, map_fn(n.semigroup()))
+        acc = add_fn(acc, map_fn(_semigroup(n)))
 
-    _, nodes = _walk(_raw(node), target, budget, leaf_fn=leaf)
+    # walk first: ``acc`` is only final once the walk has returned
+    nodes = sum(_walk(node, target, budget, leaf))
     return acc, nodes
 
 
 def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
-                     workers: int = 1, split_depth: int | None = None,
-                     node_budget: int | None = None):
+                     workers: int = 1, node_budget: int | None = None):
     """Fold ``map_fn`` over every semigroup of genus ``g``.
 
-    The aggregate must be mergeable: ``add_fn`` has to be commutative
-    and associative so that splitting the tree into subtrees cannot
-    change the result.  With ``workers`` > 1 the subtrees rooted at
-    ``split_depth`` are processed by a process pool and merged in a
-    fixed order, so results are identical for any worker count.
+    ``map_fn`` receives each semigroup as a NumericalSemigroup built from
+    the raw leaf of the walk.  The aggregate must be mergeable:
+    ``add_fn`` has to be commutative and associative so that splitting
+    the tree into subtrees cannot change the result.  With ``workers`` > 1
+    the subtrees rooted at genus min(4, g) go to a process pool as raw
+    node tuples and are merged in a fixed order, so results are identical
+    for any worker count.
 
     Worker processes receive ``map_fn``, ``add_fn`` and ``zero`` by
     pickling, so with ``workers`` > 1 each of them must be picklable
@@ -221,20 +221,20 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
                 raise NsgError(f"workers > 1 needs a picklable {name}, such as a "
                                f"module-level function: {exc}") from None
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    depth = split_depth if split_depth is not None else min(4, g)
+    depth = min(4, g)
 
-    if workers <= 1 or depth >= g or depth < 1:
-        return _fold_subtree((root_node(g), g, map_fn, add_fn, zero, budget))
+    if workers <= 1 or depth >= g:
+        return _fold_subtree((_root(g), g, map_fn, add_fn, zero, budget))
 
-    units: list[TreeNode] = []
-    _, split_nodes = _walk(_root(g), depth, budget, leaf_fn=units.append)
+    units: list[tuple] = []
+    split_sizes = _walk(_root(g), depth, budget, units.append)
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         results = pool.map(_fold_subtree,
                            [(u, g, map_fn, add_fn, zero, budget) for u in units])
     acc = zero
-    # Subtree roots are re-counted by their own walks; drop the duplicates.
-    total = split_nodes - len(units)
+    # The units are re-counted by their own walks, so count the split above them.
+    total = sum(split_sizes[:depth])
     for part, nodes in results:
         acc = add_fn(acc, part)
         total += nodes

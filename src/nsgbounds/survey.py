@@ -24,7 +24,6 @@ from .enumeration import (
     DEFAULT_NODE_BUDGET,
     enumerate_genus,
     map_reduce_genus,
-    tuple_add,
 )
 from .errors import ResourceLimit
 
@@ -146,47 +145,47 @@ def _gmgen_leaf(S):
     return (1, n_gm, n_total - n_gm, Fraction(n_total - n_gm, n_total))
 
 
+def _build_rows(genus_range, map_fn, zero, make_row, workers, node_budget) -> list:
+    """``make_row(g, aggregate)`` per genus, all rows sharing one node budget.
+
+    On ResourceLimit the finished rows go out as its ``partial``."""
+    budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
+    rows = []
+    for g in genus_range:
+        try:
+            acc, nodes = map_reduce_genus(g, map_fn, zero,
+                                          workers=workers, node_budget=budget)
+        except ResourceLimit:
+            raise ResourceLimit(f"node budget exhausted while computing genus {g}",
+                                partial=rows) from None
+        budget -= nodes
+        rows.append(make_row(g, acc))
+    return rows
+
+
 def build_lgm_table(genus_range, q_list, *, workers: int = 1,
                     node_budget: int | None = None) -> list[LgmTableRow]:
     """Coincidence and sufficient-condition portions per genus and q."""
     q_list = tuple(q_list)
     if not q_list:
         raise ValueError("q_list must not be empty")
-    budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    zero = (0,) * (1 + 2 * len(q_list))
-    rows: list[LgmTableRow] = []
-    for g in genus_range:
-        try:
-            acc, nodes = map_reduce_genus(g, partial(_lgm_leaf, q_list), zero,
-                                          workers=workers, node_budget=budget)
-        except ResourceLimit:
-            raise ResourceLimit(f"node budget exhausted while computing genus {g}",
-                                partial=rows) from None
-        budget -= nodes
+    k = len(q_list)
+
+    def make_row(g, acc):
         population = acc[0]
-        k = len(q_list)
         coincide = {q: _portion(acc[1 + i], population) for i, q in enumerate(q_list)}
         sufficient = {q: _portion(acc[1 + k + i], population) for i, q in enumerate(q_list)}
-        rows.append(LgmTableRow(g, population, coincide, sufficient))
-    return rows
+        return LgmTableRow(g, population, coincide, sufficient)
+
+    return _build_rows(genus_range, partial(_lgm_leaf, q_list), (0,) * (1 + 2 * k),
+                       make_row, workers, node_budget)
 
 
 def build_gmgen_table(genus_range, *, workers: int = 1,
                       node_budget: int | None = None) -> list[GmGenTableRow]:
     """Generator-classification means and portions per genus."""
-    budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    zero = (0, 0, 0, Fraction(0))
-    rows: list[GmGenTableRow] = []
-    for g in genus_range:
-        try:
-            acc, nodes = map_reduce_genus(g, _gmgen_leaf, zero,
-                                          workers=workers, node_budget=budget)
-        except ResourceLimit:
-            raise ResourceLimit(f"node budget exhausted while computing genus {g}",
-                                partial=rows) from None
-        budget -= nodes
-        rows.append(GmGenTableRow(g, acc[0], acc[1], acc[2], acc[3]))
-    return rows
+    return _build_rows(genus_range, _gmgen_leaf, (0, 0, 0, Fraction(0)),
+                       lambda g, acc: GmGenTableRow(g, *acc), workers, node_budget)
 
 
 # ---------------------------------------------------------------------------

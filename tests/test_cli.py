@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from nsgbounds.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from nsgbounds import build_gmgen_table, build_lgm_table
+from nsgbounds.cli import (
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    _render_table,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +169,20 @@ class TestTable:
         assert "# truncated: node budget exceeded" in out
         assert out.startswith("genus,")
         assert "node budget" in err
+
+    @pytest.mark.parametrize("kind", ["lgm", "gmgens"])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_render_truncated(self, kind, fmt):
+        q_list = (2, 9)
+        rows = (build_lgm_table(range(2, 5), q_list) if kind == "lgm"
+                else build_gmgen_table(range(2, 5)))
+        whole = _render_table(kind, rows, q_list, fmt)
+        cut = _render_table(kind, rows, q_list, fmt, truncated=True)
+        if fmt == "json":
+            assert cut.endswith("}\n")
+            assert json.loads(cut) == {**json.loads(whole), "truncated": True}
+        else:
+            assert cut == whole + "# truncated: node budget exceeded\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "table", "gmgens", "--genus", "2..2",

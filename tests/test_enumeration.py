@@ -114,6 +114,16 @@ class TestBudget:
     def test_budget_sufficient(self):
         assert enumerate_genus(5, node_budget=100) == 12
 
+    def test_budget_boundary(self):
+        # the walk to genus 5 touches exactly 1 + 1 + 2 + 4 + 7 + 12 nodes
+        assert sum(A007323[:6]) == 27
+        assert enumerate_genus(5, node_budget=27) == 12
+        assert count_by_genus(5, node_budget=27) == list(A007323[:6])
+        with pytest.raises(ResourceLimit):
+            enumerate_genus(5, node_budget=26)
+        with pytest.raises(ResourceLimit):
+            count_by_genus(5, node_budget=26)
+
 
 class TestMapReduce:
     def test_serial_count(self):
@@ -124,7 +134,7 @@ class TestMapReduce:
     def test_workers_do_not_change_result(self):
         serial, serial_nodes = map_reduce_genus(8, _gens_fingerprint, (0, 0, 0))
         parallel, parallel_nodes = map_reduce_genus(8, _gens_fingerprint, (0, 0, 0),
-                                                    workers=2, split_depth=3)
+                                                    workers=2)
         assert serial == parallel
         assert serial_nodes == parallel_nodes
 
@@ -133,11 +143,11 @@ class TestMapReduce:
         fns = {"map_fn": _one, "add_fn": tuple_add, slot: lambda *a: (1,)}
         with pytest.raises(NsgError, match=slot):
             map_reduce_genus(8, fns["map_fn"], (0,), fns["add_fn"],
-                             workers=2, split_depth=3)
+                             workers=2)
 
     def test_parallel_budget_enforced(self):
         with pytest.raises(ResourceLimit):
-            map_reduce_genus(8, _one, (0,), workers=2, split_depth=3, node_budget=20)
+            map_reduce_genus(8, _one, (0,), workers=2, node_budget=20)
 
 
 def _one(S):
