@@ -12,7 +12,7 @@ from .bounds import (
     classify_generators,
     differential_sweep,
 )
-from .errors import ResourceLimit
+from .errors import NsgError, ResourceLimit
 from .semigroup import TwoGenSemigroup, from_generators, is_member, unique_representation
 from .survey import (
     build_gmgen_table,
@@ -62,6 +62,16 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
     if any(q < 1 for q in qs):
         raise argparse.ArgumentTypeError("q values must be positive")
     return qs
+
+
+def _parse_workers(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"workers must be a positive integer, got {workers}")
+    return workers
 
 
 def _parse_genus_range(text: str) -> range:
@@ -119,7 +129,7 @@ def build_parser() -> _Parser:
                    help="q values for the lgm table")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_parse_workers, default=None,
                    help="parallel workers (default: NSG_WORKERS or 1)")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0, help="seed for --selfcheck sampling")
@@ -238,6 +248,9 @@ def _cmd_table(args) -> int:
         rows = exc.partial or []
         truncated = True
         print(f"nsgbounds: {exc}", file=sys.stderr)
+    except NsgError as exc:  # such as a pool this platform cannot start
+        print(f"nsgbounds: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     text = _render_table(args.kind, rows, q_list, args.format, truncated=truncated)
     if args.out:

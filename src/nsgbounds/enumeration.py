@@ -18,6 +18,19 @@ single callback and returns the number of nodes it touched at each
 genus, so counting reads its return value, enumeration reads its last
 entry, and ``map_reduce_genus`` folds the leaves of subtrees.
 
+A pooled fold splits the tree along the spine of ordinary semigroups
+O_h = <h+1, ..., 2h+1>.  Every generator of O_h exceeds its Frobenius
+number h, so its first child removes the multiplicity and is O_{h+1};
+nearly all of the tree hangs below the spine, so a split at a fixed
+depth leaves one unit holding almost every node.  ``_spine_split``
+walks the spine down to genus g - 2 and makes each of its other
+children, and its last node, a unit: at genus 17 that is 106 units, the
+largest with 11.7% of the nodes.  One process pool (``worker_pool``,
+fork only) can serve every row of a table; the units of a row go to it
+in chunks, are merged in unit order, and the row's node budget is
+checked after each unit, so an overrun stops the row one unit after it
+happens.
+
 Child expansion is all bitwise.  Removing the generator lam = gens[i]
 gives the child with bits ``bits`` minus lam and Frobenius number lam;
 its multiplicity m is the parent's, or the next member when lam was the
@@ -33,6 +46,7 @@ generators are gens[:i] followed by the set bits of the child's bits
 masked by the window and by ~red, already in ascending order.
 """
 
+import contextlib
 import multiprocessing
 import operator
 import pickle
@@ -49,6 +63,7 @@ __all__ = [
     "enumerate_genus",
     "count_by_genus",
     "map_reduce_genus",
+    "worker_pool",
     "tuple_add",
     "DEFAULT_NODE_BUDGET",
 ]
@@ -192,52 +207,97 @@ def _fold_subtree(args):
     return acc, nodes
 
 
+def _spine_split(g: int) -> tuple[int, list[tuple]]:
+    """Split the walk to genus ``g`` into units along the ordinary spine.
+
+    Returns (spine, units): the number of spine nodes expanded here, and
+    raw nodes whose subtrees, walked to genus ``g``, touch every other
+    node of the walk exactly once.
+    """
+    node = _root(g)
+    spine = 0
+    units = []
+    while node[2] < g - 2:
+        node, *rest = _expand(node)
+        spine += 1
+        units += rest
+    units.append(node)
+    return spine, units
+
+
+def worker_pool(workers: int):
+    """The pool ``map_reduce_genus`` takes, as a context manager.
+
+    It gives a fork process pool of ``workers`` processes, or None when
+    ``workers`` <= 1.  Workers are forked, so they share the parent's
+    imported code and only the tasks cross by pickling.  Raises NsgError
+    when the platform cannot fork.
+    """
+    if workers <= 1:
+        return contextlib.nullcontext()
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" not in methods:
+        raise NsgError(f"workers > 1 needs the 'fork' start method, which this "
+                       f"platform lacks (it has: {', '.join(methods)})")
+    return multiprocessing.get_context("fork").Pool(processes=workers)
+
+
 def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
-                     workers: int = 1, node_budget: int | None = None):
+                     workers: int = 1, node_budget: int | None = None, pool=None):
     """Fold ``map_fn`` over every semigroup of genus ``g``.
 
     ``map_fn`` receives each semigroup as a NumericalSemigroup built from
     the raw leaf of the walk.  The aggregate must be mergeable:
     ``add_fn`` has to be commutative and associative so that splitting
-    the tree into subtrees cannot change the result.  With ``workers`` > 1
-    the subtrees rooted at genus min(4, g) go to a process pool as raw
-    node tuples and are merged in a fixed order, so results are identical
-    for any worker count.
+    the tree into subtrees cannot change the result.
+
+    With ``workers`` > 1 the walk is split along the ordinary-semigroup
+    spine (see the module docstring) and the units go, as raw node
+    tuples, to ``pool``, a pool from ``worker_pool(workers)``; without
+    one a pool is opened for this call only.  Results are merged in unit
+    order, so they are identical for any worker count, and so is the
+    number of nodes walked.  Each unit walks under the budget left after
+    the spine, and the running total is checked after every unit, so
+    ResourceLimit comes at most one unit after the budget is crossed.
 
     Worker processes receive ``map_fn``, ``add_fn`` and ``zero`` by
     pickling, so with ``workers`` > 1 each of them must be picklable
     (a module-level function, not a lambda or nested function);
-    NsgError is raised otherwise, before any worker starts.
+    NsgError is raised otherwise, before any unit is sent.
 
     Returns (aggregate, nodes_walked).
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
-    if workers > 1:
-        for name, value in (("map_fn", map_fn), ("add_fn", add_fn), ("zero", zero)):
-            try:
-                pickle.dumps(value)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                raise NsgError(f"workers > 1 needs a picklable {name}, such as a "
-                               f"module-level function: {exc}") from None
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    depth = min(4, g)
-
-    if workers <= 1 or depth >= g:
+    if workers <= 1:
         return _fold_subtree((_root(g), g, map_fn, add_fn, zero, budget))
+    for name, value in (("map_fn", map_fn), ("add_fn", add_fn), ("zero", zero)):
+        try:
+            pickle.dumps(value)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise NsgError(f"workers > 1 needs a picklable {name}, such as a "
+                           f"module-level function: {exc}") from None
+    if pool is None:
+        with worker_pool(workers) as own:
+            return _fold_units(own, g, map_fn, add_fn, zero, workers, budget)
+    return _fold_units(pool, g, map_fn, add_fn, zero, workers, budget)
 
-    units: list[tuple] = []
-    split_sizes = _walk(_root(g), depth, budget, units.append)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
-        results = pool.map(_fold_subtree,
-                           [(u, g, map_fn, add_fn, zero, budget) for u in units])
-    acc = zero
-    # The units are re-counted by their own walks, so count the split above them.
-    total = sum(split_sizes[:depth])
-    for part, nodes in results:
-        acc = add_fn(acc, part)
-        total += nodes
+
+def _fold_units(pool, g, map_fn, add_fn, zero, workers, budget):
+    spine, units = _spine_split(g)
+    tasks = [(u, g, map_fn, add_fn, zero, budget - spine) for u in units]
+    # Pool.map's own chunk rule: about four chunks per worker
+    chunksize = -(-len(tasks) // (4 * workers))
+    acc, total = zero, spine
+    try:
+        for part, nodes in pool.imap(_fold_subtree, tasks, chunksize=chunksize):
+            total += nodes
+            if total > budget:
+                break
+            acc = add_fn(acc, part)
+    except ResourceLimit:  # one unit alone overran the budget left after the spine
+        total = budget + 1
     if total > budget:
         raise ResourceLimit(f"node budget of {budget} exceeded")
     return acc, total

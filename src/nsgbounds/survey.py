@@ -12,6 +12,7 @@ Every tally is an exact integer or Fraction; rendering to two decimals
 (rounding half away from zero) is the only lossy step.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .enumeration import (
     DEFAULT_NODE_BUDGET,
     enumerate_genus,
     map_reduce_genus,
+    worker_pool,
 )
 from .errors import ResourceLimit
 
@@ -137,29 +139,32 @@ def _lgm_leaf(q_list, S):
     return tuple(out)
 
 
-def _gmgen_leaf(S):
+def _gmgen_leaf(lcm, S):
+    # the last slot is n_non/n_total scaled by ``lcm``, a multiple of n_total
     gens = S.min_generators
     cutoff = 2 * gens[0] - 1
     n_gm = sum(1 for g in gens if g < cutoff)
     n_total = len(gens)
-    return (1, n_gm, n_total - n_gm, Fraction(n_total - n_gm, n_total))
+    return (1, n_gm, n_total - n_gm, (n_total - n_gm) * (lcm // n_total))
 
 
 def _build_rows(genus_range, map_fn, zero, make_row, workers, node_budget) -> list:
     """``make_row(g, aggregate)`` per genus, all rows sharing one node budget.
 
-    On ResourceLimit the finished rows go out as its ``partial``."""
+    With ``workers`` > 1 one process pool serves every row.  On
+    ResourceLimit the finished rows go out as its ``partial``."""
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
     rows = []
-    for g in genus_range:
-        try:
-            acc, nodes = map_reduce_genus(g, map_fn, zero,
-                                          workers=workers, node_budget=budget)
-        except ResourceLimit:
-            raise ResourceLimit(f"node budget exhausted while computing genus {g}",
-                                partial=rows) from None
-        budget -= nodes
-        rows.append(make_row(g, acc))
+    with worker_pool(workers) as pool:
+        for g in genus_range:
+            try:
+                acc, nodes = map_reduce_genus(g, map_fn, zero, workers=workers,
+                                              node_budget=budget, pool=pool)
+            except ResourceLimit:
+                raise ResourceLimit(f"node budget exhausted while computing genus {g}",
+                                    partial=rows) from None
+            budget -= nodes
+            rows.append(make_row(g, acc))
     return rows
 
 
@@ -184,8 +189,16 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
 def build_gmgen_table(genus_range, *, workers: int = 1,
                       node_budget: int | None = None) -> list[GmGenTableRow]:
     """Generator-classification means and portions per genus."""
-    return _build_rows(genus_range, _gmgen_leaf, (0, 0, 0, Fraction(0)),
-                       lambda g, acc: GmGenTableRow(g, *acc), workers, node_budget)
+    genus_range = list(genus_range)
+    # A genus-g semigroup has at most multiplicity <= g + 1 minimal
+    # generators, so every per-leaf portion is an integer over ``lcm``.
+    lcm = math.lcm(*range(1, max(genus_range, default=0) + 2))
+
+    def make_row(g, acc):
+        return GmGenTableRow(g, *acc[:3], Fraction(acc[3], lcm))
+
+    return _build_rows(genus_range, partial(_gmgen_leaf, lcm), (0, 0, 0, 0),
+                       make_row, workers, node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, formats, exit codes, determinism."""
 
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -101,6 +102,26 @@ class TestUsageErrors:
             main([])
         assert info.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_must_be_positive(self, capsys, workers):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "gmgens", "--genus", "2..4", "--workers", workers])
+        assert info.value.code == EXIT_USAGE
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_no_fork_is_a_clear_error(self, capsys, monkeypatch):
+        def no_context(*args):
+            raise AssertionError("no pool may be started")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_context)
+        code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "2..6",
+                                 "--workers", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("nsgbounds: ") and err.count("\n") == 1
+        assert "'fork'" in err and "spawn" in err
+
 
 class TestVerify:
     def test_small_sweep(self, capsys):
@@ -154,6 +175,12 @@ class TestTable:
         _, out2, _ = run_cli(capsys, "table", "lgm", "--genus", "2..7", "--q", "2,9",
                              "--format", "csv", "--workers", "2")
         assert out1 == out2
+
+    def test_gmgens_bytes_for_any_worker_count(self, capsys):
+        outs = {run_cli(capsys, "table", "gmgens", "--genus", "2..12", "--format", "csv",
+                        "--workers", w) for w in ("1", "2", "3")}
+        assert len(outs) == 1
+        assert outs.pop()[0] == EXIT_OK
 
     def test_nsg_workers_env(self, capsys, monkeypatch):
         monkeypatch.setenv("NSG_WORKERS", "2")

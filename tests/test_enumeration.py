@@ -12,7 +12,7 @@ from nsgbounds import (
     map_reduce_genus,
     root_node,
 )
-from nsgbounds.enumeration import tuple_add
+from nsgbounds.enumeration import _spine_split, _walk, tuple_add
 
 
 # OEIS A007323: the number of numerical semigroups of genus 0, 1, 2, ...
@@ -148,6 +148,23 @@ class TestMapReduce:
     def test_parallel_budget_enforced(self):
         with pytest.raises(ResourceLimit):
             map_reduce_genus(8, _one, (0,), workers=2, node_budget=20)
+
+
+class TestSpineSplit:
+    @pytest.mark.parametrize("g", range(3, 15))
+    def test_units_cover_the_walk_once(self, g):
+        spine, units = _spine_split(g)
+        leaves = []
+        nodes = spine + sum(sum(_walk(u, g, 10 ** 6, leaves.append)) for u in units)
+        assert nodes == sum(count_by_genus(g))
+        population = []
+        enumerate_genus(g, lambda S: population.append(S.min_generators))
+        assert sorted(leaf[3] for leaf in leaves) == sorted(population)
+
+    def test_largest_unit_is_small(self):
+        spine, units = _spine_split(14)
+        largest = max(sum(_walk(u, 14, 10 ** 6)) for u in units)
+        assert largest <= 0.15 * sum(count_by_genus(14))
 
 
 def _one(S):

@@ -1,10 +1,11 @@
 """Table statistics: exact tallies, rendering, reference comparison."""
 
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
-from nsgbounds import build_gmgen_table, build_lgm_table, render_percent
+from nsgbounds import build_gmgen_table, build_lgm_table, count_by_genus, render_percent
 from nsgbounds.errors import ResourceLimit
 from nsgbounds.survey import (
     compare_tables,
@@ -134,6 +135,35 @@ class TestDeterminismAcrossWorkers:
 
     def test_gmgen_rows_identical(self):
         assert build_gmgen_table(range(2, 9)) == build_gmgen_table(range(2, 9), workers=3)
+
+
+class TestSharedPool:
+    def test_one_pool_per_table(self, monkeypatch):
+        ctx = multiprocessing.get_context("fork")
+        make_pool = ctx.Pool
+        opened = []
+
+        def counting_pool(*args, **kwargs):
+            opened.append(args)
+            return make_pool(*args, **kwargs)
+
+        monkeypatch.setattr(ctx, "Pool", counting_pool)
+        assert build_gmgen_table(range(2, 10), workers=2) == build_gmgen_table(range(2, 10))
+        assert len(opened) == 1
+
+    def test_pooled_budget_matches_serial(self):
+        nodes = [sum(count_by_genus(g)) for g in range(2, 11)]
+        # the end of the sixth row, the middle of the last, the end of the last
+        boundaries = (sum(nodes[:6]), sum(nodes) - nodes[-1] // 2, sum(nodes))
+        for budget in (b + d for b in boundaries for d in (-1, 0, 1)):
+            outcomes = []
+            for workers in (1, 2):
+                try:
+                    outcomes.append(build_gmgen_table(range(2, 11), workers=workers,
+                                                      node_budget=budget))
+                except ResourceLimit as exc:
+                    outcomes.append(("partial", exc.partial))
+            assert outcomes[0] == outcomes[1], budget
 
 
 class TestReference:
