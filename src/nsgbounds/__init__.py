@@ -33,6 +33,7 @@ from .enumeration import (
     enumerate_genus,
     map_reduce_genus,
     root_node,
+    worker_pool,
 )
 from .errors import (
     EmptyIndexSet,

@@ -12,6 +12,7 @@ from .bounds import (
     classify_generators,
     differential_sweep,
 )
+from .enumeration import DEFAULT_NODE_BUDGET
 from .errors import NsgError, ResourceLimit
 from .semigroup import TwoGenSemigroup, from_generators, is_member, unique_representation
 from .survey import (
@@ -64,14 +65,14 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
     return qs
 
 
-def _parse_workers(text: str) -> int:
+def _parse_positive(text: str) -> int:
     try:
-        workers = int(text)
+        value = int(text)
+        if value >= 1:
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"workers must be a positive integer, got {workers}")
-    return workers
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _parse_genus_range(text: str) -> range:
@@ -86,13 +87,6 @@ def _parse_genus_range(text: str) -> range:
     if lo < 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad genus range {text!r}")
     return range(lo, hi + 1)
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NSG_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> _Parser:
@@ -129,9 +123,9 @@ def build_parser() -> _Parser:
                    help="q values for the lgm table")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.add_argument("--workers", type=_parse_workers, default=None,
+    p.add_argument("--workers", type=_parse_positive, default=None,
                    help="parallel workers (default: NSG_WORKERS or 1)")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_parse_positive, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--seed", type=int, default=0, help="seed for --selfcheck sampling")
     p.add_argument("--selfcheck", action="store_true",
                    help="re-verify sampled coincidence flags by full scans")
@@ -233,8 +227,13 @@ def _render_table(kind, rows, q_list, fmt, truncated=False):
     return out
 
 
-def _cmd_table(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
+def _cmd_table(args, parser) -> int:
+    workers = args.workers
+    if workers is None:
+        try:
+            workers = _parse_positive(os.environ.get("NSG_WORKERS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"NSG_WORKERS: {exc}")
     q_list = tuple(args.q)
     truncated = False
     try:
@@ -298,7 +297,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "table":
-            return _cmd_table(args)
+            return _cmd_table(args, parser)
     except ResourceLimit as exc:
         print(f"nsgbounds: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

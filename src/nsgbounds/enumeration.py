@@ -18,18 +18,18 @@ single callback and returns the number of nodes it touched at each
 genus, so counting reads its return value, enumeration reads its last
 entry, and ``map_reduce_genus`` folds the leaves of subtrees.
 
-A pooled fold splits the tree along the spine of ordinary semigroups
+Every fold splits the tree along the spine of ordinary semigroups
 O_h = <h+1, ..., 2h+1>.  Every generator of O_h exceeds its Frobenius
 number h, so its first child removes the multiplicity and is O_{h+1};
 nearly all of the tree hangs below the spine, so a split at a fixed
 depth leaves one unit holding almost every node.  ``_spine_split``
 walks the spine down to genus g - 2 and makes each of its other
 children, and its last node, a unit: at genus 17 that is 106 units, the
-largest with 11.7% of the nodes.  One process pool (``worker_pool``,
-fork only) can serve every row of a table; the units of a row go to it
-in chunks, are merged in unit order, and the row's node budget is
-checked after each unit, so an overrun stops the row one unit after it
-happens.
+largest with 11.7% of the nodes.  A fold walks its units in this
+process, or on a process pool (``worker_pool``, fork only) that can
+serve every row of a table; either way the unit results are merged in
+unit order, and the row's node budget is checked after each unit, so an
+overrun stops the row one unit after it happens.
 
 Child expansion is all bitwise.  Removing the generator lam = gens[i]
 gives the child with bits ``bits`` minus lam and Frobenius number lam;
@@ -166,7 +166,7 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None) -> list[in
     return sizes
 
 
-def enumerate_genus(g: int, visitor=None, *, node_budget: int | None = None) -> int:
+def enumerate_genus(g: int, visitor=None, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Visit every numerical semigroup of genus exactly ``g`` once.
 
     ``visitor`` (when given) receives each semigroup as a
@@ -176,17 +176,15 @@ def enumerate_genus(g: int, visitor=None, *, node_budget: int | None = None) -> 
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
-    budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
     leaf_fn = None if visitor is None else (lambda node: visitor(_semigroup(node)))
-    return _walk(_root(g), g, budget, leaf_fn)[g]
+    return _walk(_root(g), g, node_budget, leaf_fn)[g]
 
 
-def count_by_genus(g_max: int, *, node_budget: int | None = None) -> list[int]:
+def count_by_genus(g_max: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
     """Number of numerical semigroups of each genus 0..g_max."""
     if g_max < 0:
         raise ValueError("genus must be non-negative")
-    budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    return _walk(_root(g_max), g_max, budget)
+    return _walk(_root(g_max), g_max, node_budget)
 
 
 def tuple_add(x: tuple, y: tuple) -> tuple:
@@ -243,7 +241,7 @@ def worker_pool(workers: int):
 
 
 def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
-                     workers: int = 1, node_budget: int | None = None, pool=None):
+                     node_budget: int = DEFAULT_NODE_BUDGET, pool=None):
     """Fold ``map_fn`` over every semigroup of genus ``g``.
 
     ``map_fn`` receives each semigroup as a NumericalSemigroup built from
@@ -251,53 +249,49 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     ``add_fn`` has to be commutative and associative so that splitting
     the tree into subtrees cannot change the result.
 
-    With ``workers`` > 1 the walk is split along the ordinary-semigroup
-    spine (see the module docstring) and the units go, as raw node
-    tuples, to ``pool``, a pool from ``worker_pool(workers)``; without
-    one a pool is opened for this call only.  Results are merged in unit
-    order, so they are identical for any worker count, and so is the
-    number of nodes walked.  Each unit walks under the budget left after
-    the spine, and the running total is checked after every unit, so
-    ResourceLimit comes at most one unit after the budget is crossed.
+    The walk is split along the ordinary-semigroup spine (see the module
+    docstring) and each unit is folded on its own: in this process, or,
+    when ``pool`` (a pool from ``worker_pool``) is given, in the pool's
+    processes, which receive the units as raw node tuples.  Unit results
+    are merged in unit order, so the aggregate and the number of nodes
+    walked do not depend on the pool.  Each unit walks under the budget
+    left after the spine, and the running total is checked after every
+    unit, so ResourceLimit is raised exactly when the walk needs more
+    than ``node_budget`` nodes, at most one unit after the budget is
+    crossed.
 
-    Worker processes receive ``map_fn``, ``add_fn`` and ``zero`` by
-    pickling, so with ``workers`` > 1 each of them must be picklable
-    (a module-level function, not a lambda or nested function);
-    NsgError is raised otherwise, before any unit is sent.
+    Pool processes receive ``map_fn``, ``add_fn`` and ``zero`` by pickling,
+    so with a pool each of them must be picklable (a module-level
+    function, not a lambda or nested function); NsgError is raised
+    otherwise, before any unit is sent.
 
     Returns (aggregate, nodes_walked).
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
-    budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    if workers <= 1:
-        return _fold_subtree((_root(g), g, map_fn, add_fn, zero, budget))
-    for name, value in (("map_fn", map_fn), ("add_fn", add_fn), ("zero", zero)):
-        try:
-            pickle.dumps(value)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise NsgError(f"workers > 1 needs a picklable {name}, such as a "
-                           f"module-level function: {exc}") from None
-    if pool is None:
-        with worker_pool(workers) as own:
-            return _fold_units(own, g, map_fn, add_fn, zero, workers, budget)
-    return _fold_units(pool, g, map_fn, add_fn, zero, workers, budget)
-
-
-def _fold_units(pool, g, map_fn, add_fn, zero, workers, budget):
     spine, units = _spine_split(g)
-    tasks = [(u, g, map_fn, add_fn, zero, budget - spine) for u in units]
-    # Pool.map's own chunk rule: about four chunks per worker
-    chunksize = -(-len(tasks) // (4 * workers))
+    tasks = [(u, g, map_fn, add_fn, zero, node_budget - spine) for u in units]
+    if pool is None:
+        parts = map(_fold_subtree, tasks)
+    else:
+        for name, value in (("map_fn", map_fn), ("add_fn", add_fn), ("zero", zero)):
+            try:
+                pickle.dumps(value)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise NsgError(f"a pooled fold needs a picklable {name}, such as a "
+                               f"module-level function: {exc}") from None
+        # Pool.map's own chunk rule: about four chunks per worker
+        chunksize = -(-len(tasks) // (4 * len(pool._pool)))
+        parts = pool.imap(_fold_subtree, tasks, chunksize=chunksize)
     acc, total = zero, spine
     try:
-        for part, nodes in pool.imap(_fold_subtree, tasks, chunksize=chunksize):
+        for part, nodes in parts:
             total += nodes
-            if total > budget:
+            if total > node_budget:
                 break
             acc = add_fn(acc, part)
     except ResourceLimit:  # one unit alone overran the budget left after the spine
-        total = budget + 1
-    if total > budget:
-        raise ResourceLimit(f"node budget of {budget} exceeded")
+        total = node_budget + 1
+    if total > node_budget:
+        raise ResourceLimit(f"node budget of {node_budget} exceeded")
     return acc, total

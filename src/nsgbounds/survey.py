@@ -153,23 +153,22 @@ def _build_rows(genus_range, map_fn, zero, make_row, workers, node_budget) -> li
 
     With ``workers`` > 1 one process pool serves every row.  On
     ResourceLimit the finished rows go out as its ``partial``."""
-    budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
     rows = []
     with worker_pool(workers) as pool:
         for g in genus_range:
             try:
-                acc, nodes = map_reduce_genus(g, map_fn, zero, workers=workers,
-                                              node_budget=budget, pool=pool)
+                acc, nodes = map_reduce_genus(g, map_fn, zero, node_budget=node_budget,
+                                              pool=pool)
             except ResourceLimit:
                 raise ResourceLimit(f"node budget exhausted while computing genus {g}",
                                     partial=rows) from None
-            budget -= nodes
+            node_budget -= nodes
             rows.append(make_row(g, acc))
     return rows
 
 
 def build_lgm_table(genus_range, q_list, *, workers: int = 1,
-                    node_budget: int | None = None) -> list[LgmTableRow]:
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> list[LgmTableRow]:
     """Coincidence and sufficient-condition portions per genus and q."""
     q_list = tuple(q_list)
     if not q_list:
@@ -187,7 +186,7 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
 
 
 def build_gmgen_table(genus_range, *, workers: int = 1,
-                      node_budget: int | None = None) -> list[GmGenTableRow]:
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> list[GmGenTableRow]:
     """Generator-classification means and portions per genus."""
     genus_range = list(genus_range)
     # A genus-g semigroup has at most multiplicity <= g + 1 minimal

@@ -102,12 +102,22 @@ class TestUsageErrors:
             main([])
         assert info.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_must_be_positive(self, capsys, workers):
+    @pytest.mark.parametrize("setting", ["0", "-1", "NSG_WORKERS=0", "NSG_WORKERS=-3",
+                                         "NSG_WORKERS=abc", "--node-budget=0"])
+    def test_workers_must_be_positive(self, capsys, monkeypatch, setting):
+        argv = ["table", "gmgens", "--genus", "2..4"]
+        if setting.startswith("NSG_WORKERS="):
+            monkeypatch.setenv("NSG_WORKERS", setting.partition("=")[2])
+        elif setting.startswith("--"):
+            argv.append(setting)
+        else:
+            argv += ["--workers", setting]
         with pytest.raises(SystemExit) as info:
-            main(["table", "gmgens", "--genus", "2..4", "--workers", workers])
+            main(argv)
         assert info.value.code == EXIT_USAGE
-        assert "positive integer" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive integer" in captured.err
 
     def test_no_fork_is_a_clear_error(self, capsys, monkeypatch):
         def no_context(*args):

@@ -11,6 +11,7 @@ from nsgbounds import (
     from_generators,
     map_reduce_genus,
     root_node,
+    worker_pool,
 )
 from nsgbounds.enumeration import _spine_split, _walk, tuple_add
 
@@ -133,8 +134,9 @@ class TestMapReduce:
 
     def test_workers_do_not_change_result(self):
         serial, serial_nodes = map_reduce_genus(8, _gens_fingerprint, (0, 0, 0))
-        parallel, parallel_nodes = map_reduce_genus(8, _gens_fingerprint, (0, 0, 0),
-                                                    workers=2)
+        with worker_pool(2) as pool:
+            parallel, parallel_nodes = map_reduce_genus(8, _gens_fingerprint, (0, 0, 0),
+                                                        pool=pool)
         assert serial == parallel
         assert serial_nodes == parallel_nodes
 
@@ -142,16 +144,26 @@ class TestMapReduce:
     def test_parallel_rejects_unpicklable_callback(self, slot):
         fns = {"map_fn": _one, "add_fn": tuple_add, slot: lambda *a: (1,)}
         with pytest.raises(NsgError, match=slot):
-            map_reduce_genus(8, fns["map_fn"], (0,), fns["add_fn"],
-                             workers=2)
+            with worker_pool(2) as pool:
+                map_reduce_genus(8, fns["map_fn"], (0,), fns["add_fn"],
+                                 pool=pool)
 
     def test_parallel_budget_enforced(self):
         with pytest.raises(ResourceLimit):
-            map_reduce_genus(8, _one, (0,), workers=2, node_budget=20)
+            with worker_pool(2) as pool:
+                map_reduce_genus(8, _one, (0,), pool=pool, node_budget=20)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_budget_boundary(self, workers):
+        n = sum(count_by_genus(8))
+        with worker_pool(workers) as pool:
+            assert map_reduce_genus(8, _one, (0,), node_budget=n, pool=pool) == ((67,), n)
+            with pytest.raises(ResourceLimit):
+                map_reduce_genus(8, _one, (0,), node_budget=n - 1, pool=pool)
 
 
 class TestSpineSplit:
-    @pytest.mark.parametrize("g", range(3, 15))
+    @pytest.mark.parametrize("g", range(0, 15))
     def test_units_cover_the_walk_once(self, g):
         spine, units = _spine_split(g)
         leaves = []
