@@ -276,7 +276,9 @@ def _cmd_table(args, parser) -> int:
         print(f"reference match: {compared} cells within one ulp", file=sys.stderr)
 
     if args.selfcheck and args.kind == "lgm":
-        checked, mismatches = selfcheck_lgm(args.genus, q_list, seed=args.seed)
+        spent = sum(row.nodes for row in rows)
+        checked, mismatches = selfcheck_lgm(args.genus, q_list, seed=args.seed,
+                                            node_budget=args.node_budget - spent)
         for genus, q, gens in mismatches:
             print(f"SELFCHECK MISMATCH genus={genus} q={q} gens={list(gens)}",
                   file=sys.stderr)

@@ -16,7 +16,11 @@ plain tuples in that layout.
 ``_walk`` is the one traversal.  It hands each raw leaf tuple to a
 single callback and returns the number of nodes it touched at each
 genus, so counting reads its return value, enumeration reads its last
-entry, and ``map_reduce_genus`` folds the leaves of subtrees.
+entry, and ``map_reduce_genus`` folds the leaves of subtrees.  The last
+level is fused into its parent: a node one genus above the target hands
+its children straight to the callback and never pushes them, and a walk
+without a callback only counts its effective generators.  A fold tallies
+identical leaf values per unit and merges each distinct value once.
 
 Every fold splits the tree along the spine of ordinary semigroups
 O_h = <h+1, ..., 2h+1>.  Every generator of O_h exceeds its Frobenius
@@ -145,24 +149,44 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None) -> list[in
     raw tuple in TreeNode field order, children taken in increasing
     removed-generator order.  Returns ``sizes``: ``sizes[h]`` is the
     number of nodes touched at genus h, for h in 0..target_genus.
+
+    The last level is fused into its parent: a node at genus
+    ``target_genus - 1`` counts its children together with itself and
+    hands them straight to ``leaf_fn``, never pushing them; without a
+    ``leaf_fn`` it counts its effective generators and builds no child.
     Raises ResourceLimit as soon as the node count would exceed
-    ``budget``.
+    ``budget``, before the leaves of the parent that crosses it are
+    handed over, so it raises exactly when the walk needs more than
+    ``budget`` nodes.
     """
     sizes = [0] * (target_genus + 1)
+    last = target_genus - 1
     nodes = 0
     stack = [start]
     while stack:
         node = stack.pop()
         nodes += 1
-        if nodes > budget:
-            raise ResourceLimit(f"node budget of {budget} exceeded")
         genus = node[2]
         sizes[genus] += 1
-        if genus >= target_genus:
-            if leaf_fn is not None:
-                leaf_fn(node)
-            continue
-        stack.extend(reversed(_expand(node)))
+        leaves = ()
+        if genus < last:
+            stack.extend(reversed(_expand(node)))
+        elif genus > last:  # ``start`` itself lies at the target genus
+            leaves = (node,)
+        elif leaf_fn is None:
+            gens = node[3]
+            kids = len(gens) - bisect_right(gens, node[1])
+            nodes += kids
+            sizes[target_genus] += kids
+        else:
+            leaves = _expand(node)
+            nodes += len(leaves)
+            sizes[target_genus] += len(leaves)
+        if nodes > budget:
+            raise ResourceLimit(f"node budget of {budget} exceeded")
+        if leaf_fn is not None:
+            for leaf in leaves:
+                leaf_fn(leaf)
     return sizes
 
 
@@ -192,16 +216,30 @@ def tuple_add(x: tuple, y: tuple) -> tuple:
     return tuple(map(operator.add, x, y))
 
 
+def _add_times(add_fn, acc, value, count: int):
+    """``acc`` merged with ``count`` copies of ``value``, built by doubling."""
+    while count:
+        if count & 1:
+            acc = add_fn(acc, value)
+        count >>= 1
+        if count:
+            value = add_fn(value, value)
+    return acc
+
+
 def _fold_subtree(args):
     node, target, map_fn, add_fn, zero, budget = args
-    acc = zero
+    tally = {}
+    get = tally.get
 
     def leaf(n):
-        nonlocal acc
-        acc = add_fn(acc, map_fn(_semigroup(n)))
+        value = map_fn(n)
+        tally[value] = get(value, 0) + 1
 
-    # walk first: ``acc`` is only final once the walk has returned
     nodes = sum(_walk(node, target, budget, leaf))
+    acc = zero
+    for value, count in tally.items():
+        acc = _add_times(add_fn, acc, value, count)
     return acc, nodes
 
 
@@ -221,6 +259,22 @@ def _spine_split(g: int) -> tuple[int, list[tuple]]:
         units += rest
     units.append(node)
     return spine, units
+
+
+def _drain(parts) -> None:
+    """Wait for every unit result still due from a pool.
+
+    Terminating a pool while a worker writes a result can leave the
+    result queue's lock held, and the pool's shutdown then waits for it
+    forever; a pool with no unit in flight shuts down cleanly.
+    """
+    while True:
+        try:
+            for _ in parts:
+                pass
+            return
+        except ResourceLimit:
+            pass
 
 
 def worker_pool(workers: int):
@@ -244,10 +298,14 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
                      node_budget: int = DEFAULT_NODE_BUDGET, pool=None):
     """Fold ``map_fn`` over every semigroup of genus ``g``.
 
-    ``map_fn`` receives each semigroup as a NumericalSemigroup built from
-    the raw leaf of the walk.  The aggregate must be mergeable:
-    ``add_fn`` has to be commutative and associative so that splitting
-    the tree into subtrees cannot change the result.
+    ``map_fn`` receives each semigroup as the raw leaf tuple of the walk,
+    in TreeNode field order (bits, frobenius, genus, min_generators,
+    multiplicity), and returns a hashable value.  The aggregate must be
+    mergeable: ``add_fn`` has to be commutative and associative so that
+    splitting the tree into subtrees cannot change the result, and
+    ``zero`` its identity.  Each unit counts identical values and merges
+    every distinct value once, as ``count`` copies built by doubling with
+    ``add_fn``.
 
     The walk is split along the ordinary-semigroup spine (see the module
     docstring) and each unit is folded on its own: in this process, or,
@@ -258,7 +316,7 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     left after the spine, and the running total is checked after every
     unit, so ResourceLimit is raised exactly when the walk needs more
     than ``node_budget`` nodes, at most one unit after the budget is
-    crossed.
+    crossed; with a pool, only once the units already sent have finished.
 
     Pool processes receive ``map_fn``, ``add_fn`` and ``zero`` by pickling,
     so with a pool each of them must be picklable (a module-level
@@ -293,5 +351,7 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     except ResourceLimit:  # one unit alone overran the budget left after the spine
         total = node_budget + 1
     if total > node_budget:
+        if pool is not None:
+            _drain(parts)
         raise ResourceLimit(f"node budget of {node_budget} exceeded")
     return acc, total

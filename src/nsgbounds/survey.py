@@ -14,16 +14,20 @@ Every tally is an exact integer or Fraction; rendering to two decimals
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from importlib import resources
 from typing import NamedTuple
 
-from .bounds import coincidence_criterion, gm_generic, lewittes_bound
+from .bounds import coincidence_criterion, gm_generic
 from .enumeration import (
     DEFAULT_NODE_BUDGET,
-    enumerate_genus,
+    _root,
+    _semigroup,
+    _walk,
+    enumerate_genus,  # noqa: F401  perfbench hooks survey.enumerate_genus
     map_reduce_genus,
     worker_pool,
 )
@@ -88,6 +92,7 @@ class LgmTableRow:
     population: int
     per_q_coincide: dict[int, Portion]
     per_q_sufficient: dict[int, Portion]
+    nodes: int  # tree nodes walked to fold this row
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,7 @@ class GmGenTableRow:
     gm_gen_total: int
     non_gm_gen_total: int
     portion_non_sum: Fraction  # sum over semigroups of non-gm/total
+    nodes: int  # tree nodes walked to fold this row
 
     @property
     def mean_gm_gens(self) -> str:
@@ -128,28 +134,48 @@ class GmGenTableRow:
         return render_fixed2(100 * f.numerator, f.denominator)
 
 
-def _lgm_leaf(q_list, S):
-    gens = S.min_generators
+def _lgm_leaf(q_list, leaf):
+    """Population, coincidence and sufficient-condition flags of a raw leaf.
+
+    Coincidence needs q*(l_i - l1) to be a member for every generator
+    l_i; these grow with l_i, so the first one above the Frobenius number
+    ends the scan.  q <= floor(q/l1)*l2 writes every q*(l_i - l1) as
+    l1*(floor(q/l1)*l_i - q) + (q mod l1)*l_i, so it settles q at once.
+    """
+    bits, frobenius, _, gens, _ = leaf
     l1 = gens[0]
+    l2 = gens[1] if len(gens) > 1 else 0  # no l2: the condition never holds
     out = [1]
+    sufficient = []
     for q in q_list:
-        out.append(1 if coincidence_criterion(S, q) else 0)
-    for q in q_list:
-        out.append(1 if len(gens) >= 2 and q <= (q // l1) * gens[1] else 0)
+        if q <= (q // l1) * l2:
+            out.append(1)
+            sufficient.append(1)
+            continue
+        sufficient.append(0)
+        flag = 1
+        for g in gens:
+            d = q * (g - l1)
+            if d > frobenius:
+                break
+            if not bits >> d & 1:
+                flag = 0
+                break
+        out.append(flag)
+    out += sufficient
     return tuple(out)
 
 
-def _gmgen_leaf(lcm, S):
+def _gmgen_leaf(lcm, leaf):
     # the last slot is n_non/n_total scaled by ``lcm``, a multiple of n_total
-    gens = S.min_generators
-    cutoff = 2 * gens[0] - 1
-    n_gm = sum(1 for g in gens if g < cutoff)
+    gens = leaf[3]
+    n_gm = bisect_left(gens, 2 * gens[0] - 1)
     n_total = len(gens)
     return (1, n_gm, n_total - n_gm, (n_total - n_gm) * (lcm // n_total))
 
 
 def _build_rows(genus_range, map_fn, zero, make_row, workers, node_budget) -> list:
-    """``make_row(g, aggregate)`` per genus, all rows sharing one node budget.
+    """``make_row(g, aggregate, nodes)`` per genus, all rows sharing one node budget.
 
     With ``workers`` > 1 one process pool serves every row.  On
     ResourceLimit the finished rows go out as its ``partial``."""
@@ -163,7 +189,7 @@ def _build_rows(genus_range, map_fn, zero, make_row, workers, node_budget) -> li
                 raise ResourceLimit(f"node budget exhausted while computing genus {g}",
                                     partial=rows) from None
             node_budget -= nodes
-            rows.append(make_row(g, acc))
+            rows.append(make_row(g, acc, nodes))
     return rows
 
 
@@ -173,13 +199,15 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
     q_list = tuple(q_list)
     if not q_list:
         raise ValueError("q_list must not be empty")
+    if min(q_list) < 1:
+        raise ValueError("field size parameter q must be positive")
     k = len(q_list)
 
-    def make_row(g, acc):
+    def make_row(g, acc, nodes):
         population = acc[0]
         coincide = {q: _portion(acc[1 + i], population) for i, q in enumerate(q_list)}
         sufficient = {q: _portion(acc[1 + k + i], population) for i, q in enumerate(q_list)}
-        return LgmTableRow(g, population, coincide, sufficient)
+        return LgmTableRow(g, population, coincide, sufficient, nodes)
 
     return _build_rows(genus_range, partial(_lgm_leaf, q_list), (0,) * (1 + 2 * k),
                        make_row, workers, node_budget)
@@ -193,8 +221,8 @@ def build_gmgen_table(genus_range, *, workers: int = 1,
     # generators, so every per-leaf portion is an integer over ``lcm``.
     lcm = math.lcm(*range(1, max(genus_range, default=0) + 2))
 
-    def make_row(g, acc):
-        return GmGenTableRow(g, *acc[:3], Fraction(acc[3], lcm))
+    def make_row(g, acc, nodes):
+        return GmGenTableRow(g, *acc[:3], Fraction(acc[3], lcm), nodes)
 
     return _build_rows(genus_range, partial(_gmgen_leaf, lcm), (0, 0, 0, 0),
                        make_row, workers, node_budget)
@@ -352,11 +380,15 @@ def load_reference(kind: str) -> str:
     return resources.files("nsgbounds").joinpath("data", name).read_text(encoding="utf-8")
 
 
-def selfcheck_lgm(genus_range, q_list, sample_rate: float = 0.01, seed: int = 0):
+def selfcheck_lgm(genus_range, q_list, sample_rate: float = 0.01, seed: int = 0, *,
+                  node_budget: int = DEFAULT_NODE_BUDGET):
     """Re-verify sampled coincidence flags by full set-difference scans.
 
-    Draws a seeded sample of each genus population and compares the
-    generator criterion against an actual gm == lewittes comparison.
+    Walks each genus on raw leaves, draws one seeded random number per
+    leaf in visit order, and compares the generator criterion against an
+    actual comparison of the set-difference bound with Lewittes' q*l1 + 1
+    for the leaves drawn.  Every genus walks under what is left of one
+    ``node_budget``; ResourceLimit names the genus that overran it.
     Returns (checked, mismatches).
     """
     rng = random.Random(seed)
@@ -365,15 +397,19 @@ def selfcheck_lgm(genus_range, q_list, sample_rate: float = 0.01, seed: int = 0)
     q_list = tuple(q_list)
 
     for g in genus_range:
-        def visit(S):
+        def visit(leaf):
             nonlocal checked
             if rng.random() >= sample_rate:
                 return
             checked += 1
+            S = _semigroup(leaf)
             for q in q_list:
                 crit = coincidence_criterion(S, q)
-                full = gm_generic(S, q) == lewittes_bound(S, q)
+                full = gm_generic(S, q) == q * S.multiplicity + 1
                 if crit != full:
                     mismatches.append((g, q, S.min_generators))
-        enumerate_genus(g, visit)
+        try:
+            node_budget -= sum(_walk(_root(g), g, node_budget, visit))
+        except ResourceLimit:
+            raise ResourceLimit(f"node budget exhausted while selfchecking genus {g}") from None
     return checked, mismatches

@@ -257,6 +257,20 @@ class TestTable:
         assert code == EXIT_OK
         assert "selfcheck passed" in err
 
+    # genus 2..12 walks 3335 nodes for the table and as many for the selfcheck
+    @pytest.mark.parametrize("budget, overrun", [(3335, 2), (6669, 12), (6670, None)])
+    def test_selfcheck_shares_the_node_budget(self, capsys, budget, overrun):
+        code, out, err = run_cli(capsys, "table", "lgm", "--genus", "2..12",
+                                 "--format", "csv", "--node-budget", str(budget),
+                                 "--selfcheck")
+        assert len(out.splitlines()) == 12 and "truncated" not in out
+        if overrun is None:
+            assert code == EXIT_OK
+            assert "selfcheck passed" in err
+        else:
+            assert code == EXIT_RESOURCE
+            assert err == f"nsgbounds: node budget exhausted while selfchecking genus {overrun}\n"
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

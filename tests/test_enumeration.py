@@ -13,7 +13,7 @@ from nsgbounds import (
     root_node,
     worker_pool,
 )
-from nsgbounds.enumeration import _spine_split, _walk, tuple_add
+from nsgbounds.enumeration import _add_times, _root, _spine_split, _walk, tuple_add
 
 
 # OEIS A007323: the number of numerical semigroups of genus 0, 1, 2, ...
@@ -153,6 +153,13 @@ class TestMapReduce:
             with worker_pool(2) as pool:
                 map_reduce_genus(8, _one, (0,), pool=pool, node_budget=20)
 
+    def test_pooled_overrun_leaves_no_unit_in_flight(self):
+        # shutting a pool down while a worker writes a result can hang
+        with worker_pool(2) as pool:
+            with pytest.raises(ResourceLimit):
+                map_reduce_genus(12, _one, (0,), pool=pool, node_budget=200)
+            assert not pool._cache
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_boundary(self, workers):
         n = sum(count_by_genus(8))
@@ -160,6 +167,38 @@ class TestMapReduce:
             assert map_reduce_genus(8, _one, (0,), node_budget=n, pool=pool) == ((67,), n)
             with pytest.raises(ResourceLimit):
                 map_reduce_genus(8, _one, (0,), node_budget=n - 1, pool=pool)
+
+
+class TestFusedWalk:
+    def test_leaf_order_matches_recursive_children(self):
+        def descend(node, out):
+            if node.genus == 12:
+                out.append(tuple(node))
+            for kid in children(node) if node.genus < 12 else ():
+                descend(kid, out)
+
+        want = []
+        descend(root_node(12), want)
+        got = []
+        _walk(_root(12), 12, 10 ** 6, got.append)
+        assert got == want
+
+    @pytest.mark.parametrize("visitor", [None, lambda S: None], ids=["count", "visit"])
+    def test_budget_decision_is_exact(self, visitor):
+        total = sum(count_by_genus(6))
+        for budget in range(total - 40, total + 41):
+            if budget < total:
+                with pytest.raises(ResourceLimit):
+                    enumerate_genus(6, visitor, node_budget=budget)
+            else:
+                assert enumerate_genus(6, visitor, node_budget=budget) == 23
+
+    def test_doubling_equals_repeated_merges(self):
+        acc, value = (5, 0, 2), (1, 3, 0)
+        want = acc
+        for count in range(41):
+            assert _add_times(tuple_add, acc, value, count) == want
+            want = tuple_add(want, value)
 
 
 class TestSpineSplit:
@@ -183,5 +222,5 @@ def _one(S):
     return (1,)
 
 
-def _gens_fingerprint(S):
-    return (1, len(S.min_generators), sum(S.min_generators))
+def _gens_fingerprint(leaf):
+    return (1, len(leaf[3]), sum(leaf[3]))

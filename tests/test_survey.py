@@ -1,11 +1,15 @@
 """Table statistics: exact tallies, rendering, reference comparison."""
 
+import math
 import multiprocessing
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from nsgbounds import build_gmgen_table, build_lgm_table, count_by_genus, render_percent
+from nsgbounds.bounds import classify_generators, coincidence_criterion, sufficient_condition
+from nsgbounds.enumeration import _root, _semigroup, _walk
 from nsgbounds.errors import ResourceLimit
 from nsgbounds.survey import (
     compare_tables,
@@ -15,6 +19,8 @@ from nsgbounds.survey import (
     lgm_csv,
     lgm_json,
     load_reference,
+    _gmgen_leaf,
+    _lgm_leaf,
     render_fixed2,
     selfcheck_lgm,
 )
@@ -90,6 +96,10 @@ class TestLgmTable:
     def test_empty_q_list_rejected(self):
         with pytest.raises(ValueError):
             build_lgm_table(range(2, 3), ())
+
+    def test_nonpositive_q_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            build_lgm_table(range(2, 3), (2, 0))
 
 
 class TestGmGenTable:
@@ -199,3 +209,34 @@ class TestSelfcheck:
         a = selfcheck_lgm(range(2, 7), (2, 3), sample_rate=0.5, seed=7)
         b = selfcheck_lgm(range(2, 7), (2, 3), sample_rate=0.5, seed=7)
         assert a == b
+
+    def test_genus_zero_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert selfcheck_lgm(range(0, 3), (2, 3), sample_rate=1.0) == (4, [])
+
+    def test_one_budget_for_every_genus(self):
+        n = sum(sum(count_by_genus(g)) for g in range(2, 9))
+        assert selfcheck_lgm(range(2, 9), (2,), node_budget=n)[1] == []
+        with pytest.raises(ResourceLimit, match="genus 8"):
+            selfcheck_lgm(range(2, 9), (2,), node_budget=n - 1)
+
+
+class TestLeafKernels:
+    Q = (1, 2, 3, 4, 5, 7, 9, 16, 256)
+
+    def test_leaves_match_the_bounds_api(self):
+        for g in range(15):
+            leaves = []
+            _walk(_root(g), g, 10 ** 6, leaves.append)
+            lcm = math.lcm(*range(1, g + 2))
+            for leaf in leaves:
+                S = _semigroup(leaf)
+                gens = S.min_generators
+                coincide = [int(coincidence_criterion(S, q)) for q in self.Q]
+                sufficient = [int(len(gens) > 1 and sufficient_condition(S, q))
+                              for q in self.Q]
+                assert _lgm_leaf(self.Q, leaf) == (1, *coincide, *sufficient)
+                cls = classify_generators(S, 2)
+                n_gm, n_non = len(cls.gm_generators), len(cls.non_gm_generators)
+                assert _gmgen_leaf(lcm, leaf) == (1, n_gm, n_non, n_non * (lcm // len(gens)))
