@@ -20,7 +20,7 @@ entry, and ``map_reduce_genus`` folds the leaves of subtrees.  The last
 level is fused into its parent: a node one genus above the target hands
 its children straight to the callback and never pushes them, and a walk
 without a callback only counts its effective generators.  A fold tallies
-identical leaf values per unit and merges each distinct value once.
+identical leaf values and merges each distinct value once per fold.
 
 Every fold splits the tree along the spine of ordinary semigroups
 O_h = <h+1, ..., 2h+1>.  Every generator of O_h exceeds its Frobenius
@@ -31,23 +31,22 @@ walks the spine down to genus g - 2 and makes each of its other
 children, and its last node, a unit: at genus 17 that is 106 units, the
 largest with 11.7% of the nodes.  A fold walks its units in this
 process, or on a process pool (``worker_pool``, fork only) that can
-serve every row of a table; either way the unit results are merged in
+serve every row of a table; either way the unit tallies are merged in
 unit order, and the row's node budget is checked after each unit, so an
 overrun stops the row one unit after it happens.
 
 Child expansion is all bitwise.  Removing the generator lam = gens[i]
-gives the child with bits ``bits`` minus lam and Frobenius number lam;
-its multiplicity m is the parent's, or the next member when lam was the
-multiplicity.  Members below lam keep their decompositions, so gens[:i]
-stay minimal and no new generator appears below lam.  Every minimal
-generator lies below conductor + multiplicity, so the child's other
-generators are members of the window (lam, lam + m]; each old generator
-above lam lies there too.  A window member is reducible iff it is g + s
-for a nonzero member s and a generator g < lam, since any generator
-above lam plus a nonzero member exceeds lam + m.  So with ``red`` the OR
-of the nonzero members shifted by each of gens[:i], the child's
-generators are gens[:i] followed by the set bits of the child's bits
-masked by the window and by ~red, already in ascending order.
+gives the child with bits ``bits`` minus lam and Frobenius number lam.
+Removing the multiplicity m happens only at an ordinary semigroup
+<m, ..., 2m - 1>, whose child is <m + 1, ..., 2m + 1>.  Otherwise the
+child keeps m, and its generators are gens without lam, followed by
+lam + m unless that is g + s for a generator g in gens[1:i] and a
+nonzero member s.  Removing lam takes decompositions away but adds
+none, so every other generator stays minimal; a new one is lam + s for
+a nonzero member s, and lies below the child's conductor plus m, which
+is lam + 1 + m, so s = m.  ``rest``, the OR of the members shifted by
+each of gens[1:i], settles lam + m with one bit test (the member 0 only
+sets bits below lam) and grows by one shift per child.
 """
 
 import contextlib
@@ -58,7 +57,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import NsgError, ResourceLimit
-from .semigroup import NumericalSemigroup, bit_indices
+from .semigroup import NumericalSemigroup
 
 __all__ = [
     "TreeNode",
@@ -114,18 +113,22 @@ def root_node(max_genus: int) -> TreeNode:
 def _expand(node: tuple) -> list[tuple]:
     """Raw children of a raw node, in increasing removed-generator order."""
     bits, frobenius, genus, gens, m = node
+    first = bisect_right(gens, frobenius)
+    genus += 1
     out = []
-    for i in range(bisect_right(gens, frobenius), len(gens)):
+    if not first:  # an ordinary semigroup: removing m leaves <m+1, ..., 2m+1>
+        first = 1
+        out.append((bits & ~(1 << m), m, genus, tuple(range(m + 1, 2 * m + 2)), m + 1))
+    rest = 0
+    for g in gens[1:first]:
+        rest |= bits << g
+    for i in range(first, len(gens)):
         lam = gens[i]
-        cbits = bits & ~(1 << lam)
-        nonzero = cbits & ~1
-        # i == 0 removes the multiplicity: the next member takes its place
-        cm = m if i else (nonzero & -nonzero).bit_length() - 1
-        red = 0
-        for g in gens[:i]:
-            red |= nonzero << g
-        fresh = cbits & ~red & (((1 << cm) - 1) << (lam + 1))
-        out.append((cbits, lam, genus + 1, gens[:i] + tuple(bit_indices(fresh)), cm))
+        kid = gens[:i] + gens[i + 1:]
+        if not rest >> lam + m & 1:
+            kid += (lam + m,)
+        out.append((bits ^ 1 << lam, lam, genus, kid, m))
+        rest |= bits << lam
     return out
 
 
@@ -134,21 +137,24 @@ def children(node: TreeNode) -> list[TreeNode]:
 
     The child that removes the generator lam = min_generators[i] has
     bits ``node.bits`` with lam cleared, Frobenius number lam, and
-    minimal generators min_generators[:i] followed by the members of
-    the window (lam, lam + m] that are not g + s for a nonzero member s
-    and a generator g < lam, where m is the child's multiplicity (the
-    next member after lam when lam was the multiplicity).
+    minimal generators min_generators without lam, followed by lam + m
+    when that is not g + s for a nonzero member s and a generator g with
+    m < g < lam, where m is the multiplicity (see the module docstring
+    for the ordinary semigroups, whose child removes m itself).
     """
     return [TreeNode._make(kid) for kid in _expand(node)]
 
 
-def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None) -> list[int]:
+def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
+          tally=None) -> list[int]:
     """Depth-first walk from the raw node ``start`` down to ``target_genus``.
 
     ``leaf_fn`` (when given) receives each node at the target genus as a
     raw tuple in TreeNode field order, children taken in increasing
-    removed-generator order.  Returns ``sizes``: ``sizes[h]`` is the
-    number of nodes touched at genus h, for h in 0..target_genus.
+    removed-generator order.  With a ``tally`` dict, the walk counts
+    there how many leaves gave each value of ``leaf_fn``.  Returns
+    ``sizes``: ``sizes[h]`` is the number of nodes touched at genus h,
+    for h in 0..target_genus.
 
     The last level is fused into its parent: a node at genus
     ``target_genus - 1`` counts its children together with itself and
@@ -161,6 +167,7 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None) -> list[in
     """
     sizes = [0] * (target_genus + 1)
     last = target_genus - 1
+    count = None if tally is None else tally.get
     nodes = 0
     stack = [start]
     while stack:
@@ -184,7 +191,11 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None) -> list[in
             sizes[target_genus] += len(leaves)
         if nodes > budget:
             raise ResourceLimit(f"node budget of {budget} exceeded")
-        if leaf_fn is not None:
+        if count is not None:
+            for leaf in leaves:
+                value = leaf_fn(leaf)
+                tally[value] = count(value, 0) + 1
+        elif leaf_fn is not None:
             for leaf in leaves:
                 leaf_fn(leaf)
     return sizes
@@ -227,20 +238,12 @@ def _add_times(add_fn, acc, value, count: int):
     return acc
 
 
-def _fold_subtree(args):
-    node, target, map_fn, add_fn, zero, budget = args
-    tally = {}
-    get = tally.get
-
-    def leaf(n):
-        value = map_fn(n)
-        tally[value] = get(value, 0) + 1
-
-    nodes = sum(_walk(node, target, budget, leaf))
-    acc = zero
-    for value, count in tally.items():
-        acc = _add_times(add_fn, acc, value, count)
-    return acc, nodes
+def _fold_subtree(args, tally=None):
+    """Walk one unit; returns (tally, nodes walked), counting into ``tally`` if given."""
+    node, target, map_fn, budget = args
+    if tally is None:
+        tally = {}
+    return tally, sum(_walk(node, target, budget, map_fn, tally))
 
 
 def _spine_split(g: int) -> tuple[int, list[tuple]]:
@@ -300,37 +303,39 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
 
     ``map_fn`` receives each semigroup as the raw leaf tuple of the walk,
     in TreeNode field order (bits, frobenius, genus, min_generators,
-    multiplicity), and returns a hashable value.  The aggregate must be
-    mergeable: ``add_fn`` has to be commutative and associative so that
-    splitting the tree into subtrees cannot change the result, and
-    ``zero`` its identity.  Each unit counts identical values and merges
-    every distinct value once, as ``count`` copies built by doubling with
-    ``add_fn``.
+    multiplicity), and returns a hashable value.  The leaves are tallied
+    by value, and each distinct value is merged into ``zero`` once, as
+    ``count`` copies built by doubling with ``add_fn``, in the order of
+    its first leaf (units in unit order).  ``add_fn`` has to be
+    associative with ``zero`` as its identity; a tuple slot that
+    ``tuple_add`` concatenates lists its parts in that order.
 
     The walk is split along the ordinary-semigroup spine (see the module
-    docstring) and each unit is folded on its own: in this process, or,
+    docstring) and each unit is tallied on its own: in this process, or,
     when ``pool`` (a pool from ``worker_pool``) is given, in the pool's
-    processes, which receive the units as raw node tuples.  Unit results
-    are merged in unit order, so the aggregate and the number of nodes
-    walked do not depend on the pool.  Each unit walks under the budget
-    left after the spine, and the running total is checked after every
-    unit, so ResourceLimit is raised exactly when the walk needs more
-    than ``node_budget`` nodes, at most one unit after the budget is
-    crossed; with a pool, only once the units already sent have finished.
+    processes, which receive the units as raw node tuples and send back
+    their tallies.  Tallies are merged in unit order, so the aggregate
+    and the number of nodes walked do not depend on the pool.  Each unit
+    walks under the budget left after the spine, and the running total is
+    checked after every unit, so ResourceLimit is raised exactly when the
+    walk needs more than ``node_budget`` nodes, at most one unit after the
+    budget is crossed; with a pool, only once the units already sent have
+    finished.
 
-    Pool processes receive ``map_fn``, ``add_fn`` and ``zero`` by pickling,
-    so with a pool each of them must be picklable (a module-level
-    function, not a lambda or nested function); NsgError is raised
-    otherwise, before any unit is sent.
+    With a pool, ``map_fn``, ``add_fn`` and ``zero`` must each be
+    picklable (a module-level function, not a lambda or nested function),
+    though only ``map_fn`` is sent; NsgError is raised otherwise, before
+    any unit is sent.
 
     Returns (aggregate, nodes_walked).
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
     spine, units = _spine_split(g)
-    tasks = [(u, g, map_fn, add_fn, zero, node_budget - spine) for u in units]
-    if pool is None:
-        parts = map(_fold_subtree, tasks)
+    tasks = [(u, g, map_fn, node_budget - spine) for u in units]
+    tally = {}
+    if pool is None:  # every unit counts straight into ``tally``
+        parts = (_fold_subtree(task, tally) for task in tasks)
     else:
         for name, value in (("map_fn", map_fn), ("add_fn", add_fn), ("zero", zero)):
             try:
@@ -341,17 +346,23 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         # Pool.map's own chunk rule: about four chunks per worker
         chunksize = -(-len(tasks) // (4 * len(pool._pool)))
         parts = pool.imap(_fold_subtree, tasks, chunksize=chunksize)
-    acc, total = zero, spine
+    total = spine
+    get = tally.get
     try:
         for part, nodes in parts:
             total += nodes
             if total > node_budget:
                 break
-            acc = add_fn(acc, part)
+            if part is not tally:
+                for value, count in part.items():
+                    tally[value] = get(value, 0) + count
     except ResourceLimit:  # one unit alone overran the budget left after the spine
         total = node_budget + 1
     if total > node_budget:
         if pool is not None:
             _drain(parts)
         raise ResourceLimit(f"node budget of {node_budget} exceeded")
+    acc = zero
+    for value, count in tally.items():
+        acc = _add_times(add_fn, acc, value, count)
     return acc, total

@@ -24,9 +24,7 @@ from typing import NamedTuple
 from .bounds import coincidence_criterion, gm_generic
 from .enumeration import (
     DEFAULT_NODE_BUDGET,
-    _root,
     _semigroup,
-    _walk,
     enumerate_genus,  # noqa: F401  perfbench hooks survey.enumerate_genus
     map_reduce_genus,
     worker_pool,
@@ -92,7 +90,8 @@ class LgmTableRow:
     population: int
     per_q_coincide: dict[int, Portion]
     per_q_sufficient: dict[int, Portion]
-    nodes: int  # tree nodes walked to fold this row
+    checked: int  # semigroups the selfcheck sampled (0 without a selfcheck)
+    mismatches: tuple  # (q, generators) where the selfcheck disagreed
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,6 @@ class GmGenTableRow:
     gm_gen_total: int
     non_gm_gen_total: int
     portion_non_sum: Fraction  # sum over semigroups of non-gm/total
-    nodes: int  # tree nodes walked to fold this row
 
     @property
     def mean_gm_gens(self) -> str:
@@ -166,6 +164,39 @@ def _lgm_leaf(q_list, leaf):
     return tuple(out)
 
 
+_SAMPLE_PRIME = (1 << 61) - 1
+
+
+def _sample_rule(seed: int, sample_rate: float) -> tuple[int, int, int]:
+    """(a, b, cut): the selfcheck samples a leaf iff (a*B + b) mod P < cut.
+
+    B is the bitmap of the leaf's members below its conductor, P is the
+    prime 2**61 - 1, and a and b are the first two draws of
+    random.Random(seed).  So the sample is a seeded hash of the leaf and
+    does not depend on the visit order.
+    """
+    rng = random.Random(seed)
+    return (rng.randrange(1, _SAMPLE_PRIME), rng.randrange(_SAMPLE_PRIME),
+            int(sample_rate * _SAMPLE_PRIME))
+
+
+def _lgm_checked_leaf(q_list, rule, leaf):
+    """``_lgm_leaf`` followed by (checked, mismatches) of the selfcheck.
+
+    A sampled leaf compares the generator criterion with the full
+    set-difference bound against Lewittes' q*l1 + 1 for every q, and
+    lists each q where they disagree as (q, generators).
+    """
+    bits, frobenius = leaf[0], leaf[1]
+    a, b, cut = rule
+    if (a * (bits & ((1 << frobenius + 1) - 1)) + b) % _SAMPLE_PRIME >= cut:
+        return _lgm_leaf(q_list, leaf) + (0, ())
+    S = _semigroup(leaf)
+    mismatches = tuple((q, S.min_generators) for q in q_list if coincidence_criterion(S, q)
+                       != (gm_generic(S, q) == q * S.multiplicity + 1))
+    return _lgm_leaf(q_list, leaf) + (1, mismatches)
+
+
 def _gmgen_leaf(lcm, leaf):
     # the last slot is n_non/n_total scaled by ``lcm``, a multiple of n_total
     gens = leaf[3]
@@ -175,7 +206,7 @@ def _gmgen_leaf(lcm, leaf):
 
 
 def _build_rows(genus_range, map_fn, zero, make_row, workers, node_budget) -> list:
-    """``make_row(g, aggregate, nodes)`` per genus, all rows sharing one node budget.
+    """``make_row(g, aggregate)`` per genus, all rows sharing one node budget.
 
     With ``workers`` > 1 one process pool serves every row.  On
     ResourceLimit the finished rows go out as its ``partial``."""
@@ -189,28 +220,40 @@ def _build_rows(genus_range, map_fn, zero, make_row, workers, node_budget) -> li
                 raise ResourceLimit(f"node budget exhausted while computing genus {g}",
                                     partial=rows) from None
             node_budget -= nodes
-            rows.append(make_row(g, acc, nodes))
+            rows.append(make_row(g, acc))
     return rows
 
 
 def build_lgm_table(genus_range, q_list, *, workers: int = 1,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> list[LgmTableRow]:
-    """Coincidence and sufficient-condition portions per genus and q."""
+                    node_budget: int = DEFAULT_NODE_BUDGET,
+                    selfcheck_seed: int | None = None,
+                    sample_rate: float = 0.01) -> list[LgmTableRow]:
+    """Coincidence and sufficient-condition portions per genus and q.
+
+    With a ``selfcheck_seed``, the same fold re-verifies the coincidence
+    flags of a seeded ``sample_rate`` share of the leaves (see
+    ``_lgm_checked_leaf``) and each row carries what it checked.
+    """
     q_list = tuple(q_list)
     if not q_list:
         raise ValueError("q_list must not be empty")
     if min(q_list) < 1:
         raise ValueError("field size parameter q must be positive")
     k = len(q_list)
+    if selfcheck_seed is None:
+        leaf, zero = partial(_lgm_leaf, q_list), (0,) * (1 + 2 * k)
+    else:
+        leaf = partial(_lgm_checked_leaf, q_list, _sample_rule(selfcheck_seed, sample_rate))
+        zero = (0,) * (2 + 2 * k) + ((),)
 
-    def make_row(g, acc, nodes):
+    def make_row(g, acc):
         population = acc[0]
         coincide = {q: _portion(acc[1 + i], population) for i, q in enumerate(q_list)}
         sufficient = {q: _portion(acc[1 + k + i], population) for i, q in enumerate(q_list)}
-        return LgmTableRow(g, population, coincide, sufficient, nodes)
+        checked, mismatches = acc[1 + 2 * k:] or (0, ())
+        return LgmTableRow(g, population, coincide, sufficient, checked, mismatches)
 
-    return _build_rows(genus_range, partial(_lgm_leaf, q_list), (0,) * (1 + 2 * k),
-                       make_row, workers, node_budget)
+    return _build_rows(genus_range, leaf, zero, make_row, workers, node_budget)
 
 
 def build_gmgen_table(genus_range, *, workers: int = 1,
@@ -221,8 +264,8 @@ def build_gmgen_table(genus_range, *, workers: int = 1,
     # generators, so every per-leaf portion is an integer over ``lcm``.
     lcm = math.lcm(*range(1, max(genus_range, default=0) + 2))
 
-    def make_row(g, acc, nodes):
-        return GmGenTableRow(g, *acc[:3], Fraction(acc[3], lcm), nodes)
+    def make_row(g, acc):
+        return GmGenTableRow(g, *acc[:3], Fraction(acc[3], lcm))
 
     return _build_rows(genus_range, partial(_gmgen_leaf, lcm), (0, 0, 0, 0),
                        make_row, workers, node_budget)
@@ -384,32 +427,11 @@ def selfcheck_lgm(genus_range, q_list, sample_rate: float = 0.01, seed: int = 0,
                   node_budget: int = DEFAULT_NODE_BUDGET):
     """Re-verify sampled coincidence flags by full set-difference scans.
 
-    Walks each genus on raw leaves, draws one seeded random number per
-    leaf in visit order, and compares the generator criterion against an
-    actual comparison of the set-difference bound with Lewittes' q*l1 + 1
-    for the leaves drawn.  Every genus walks under what is left of one
-    ``node_budget``; ResourceLimit names the genus that overran it.
-    Returns (checked, mismatches).
+    Runs the lgm table fold with its selfcheck on (``build_lgm_table``
+    with ``selfcheck_seed=seed``) and returns (checked, mismatches), each
+    mismatch a (genus, q, generators) tuple.
     """
-    rng = random.Random(seed)
-    checked = 0
-    mismatches = []
-    q_list = tuple(q_list)
-
-    for g in genus_range:
-        def visit(leaf):
-            nonlocal checked
-            if rng.random() >= sample_rate:
-                return
-            checked += 1
-            S = _semigroup(leaf)
-            for q in q_list:
-                crit = coincidence_criterion(S, q)
-                full = gm_generic(S, q) == q * S.multiplicity + 1
-                if crit != full:
-                    mismatches.append((g, q, S.min_generators))
-        try:
-            node_budget -= sum(_walk(_root(g), g, node_budget, visit))
-        except ResourceLimit:
-            raise ResourceLimit(f"node budget exhausted while selfchecking genus {g}") from None
-    return checked, mismatches
+    rows = build_lgm_table(genus_range, q_list, node_budget=node_budget,
+                           selfcheck_seed=seed, sample_rate=sample_rate)
+    return (sum(row.checked for row in rows),
+            [(row.genus, q, gens) for row in rows for q, gens in row.mismatches])

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nsgbounds import build_gmgen_table, build_lgm_table
+from nsgbounds import build_gmgen_table, build_lgm_table, survey
 from nsgbounds.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -257,19 +257,40 @@ class TestTable:
         assert code == EXIT_OK
         assert "selfcheck passed" in err
 
-    # genus 2..12 walks 3335 nodes for the table and as many for the selfcheck
-    @pytest.mark.parametrize("budget, overrun", [(3335, 2), (6669, 12), (6670, None)])
+    # genus 2..12 walks 3335 nodes for the table; the selfcheck walks none of its own
+    @pytest.mark.parametrize("budget, overrun", [(3334, 12), (3335, None), (6670, None)])
     def test_selfcheck_shares_the_node_budget(self, capsys, budget, overrun):
         code, out, err = run_cli(capsys, "table", "lgm", "--genus", "2..12",
                                  "--format", "csv", "--node-budget", str(budget),
                                  "--selfcheck")
-        assert len(out.splitlines()) == 12 and "truncated" not in out
         if overrun is None:
             assert code == EXIT_OK
+            assert len(out.splitlines()) == 12 and "truncated" not in out
             assert "selfcheck passed" in err
         else:
             assert code == EXIT_RESOURCE
-            assert err == f"nsgbounds: node budget exhausted while selfchecking genus {overrun}\n"
+            assert out.splitlines()[-1] == "# truncated: node budget exceeded"
+            assert err == f"nsgbounds: node budget exhausted while computing genus {overrun}\n"
+
+    def test_selfcheck_output_does_not_depend_on_workers(self, capsys):
+        runs = [run_cli(capsys, "table", "lgm", "--genus", "2..13", "--format", "csv",
+                        "--selfcheck", "--seed", "11", "--workers", str(w))
+                for w in (1, 2, 3)]
+        assert runs[0][0] == EXIT_OK and "selfcheck passed on" in runs[0][2]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_selfcheck_reports_mismatches(self, capsys, monkeypatch, workers):
+        criterion = survey.coincidence_criterion
+        monkeypatch.setattr(survey, "coincidence_criterion",
+                            lambda S, q: not criterion(S, q))
+        code, out, err = run_cli(capsys, "table", "lgm", "--genus", "2..10", "--q", "2,9",
+                                 "--format", "csv", "--selfcheck", "--workers", workers)
+        assert code == EXIT_MISMATCH
+        assert len(out.splitlines()) == 10
+        lines = err.splitlines()
+        assert lines and all(ln.startswith("SELFCHECK MISMATCH genus=") for ln in lines)
+        assert len(lines) % 2 == 0  # every sampled semigroup fails for both q
 
 
 class TestConsoleEntry:

@@ -2,12 +2,20 @@
 
 import math
 import multiprocessing
+import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from nsgbounds import build_gmgen_table, build_lgm_table, count_by_genus, render_percent
+from nsgbounds import (
+    build_gmgen_table,
+    build_lgm_table,
+    count_by_genus,
+    enumerate_genus,
+    render_percent,
+    survey,
+)
 from nsgbounds.bounds import classify_generators, coincidence_criterion, sufficient_condition
 from nsgbounds.enumeration import _root, _semigroup, _walk
 from nsgbounds.errors import ResourceLimit
@@ -220,6 +228,29 @@ class TestSelfcheck:
         assert selfcheck_lgm(range(2, 9), (2,), node_budget=n)[1] == []
         with pytest.raises(ResourceLimit, match="genus 8"):
             selfcheck_lgm(range(2, 9), (2,), node_budget=n - 1)
+
+
+    def test_full_rate_checks_every_leaf(self):
+        rows = build_lgm_table(range(0, 10), (2, 3, 9), selfcheck_seed=5, sample_rate=1.0)
+        assert [r.checked for r in rows] == [r.population for r in rows]
+        assert all(r.mismatches == () for r in rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_sample_is_a_seeded_hash_of_the_leaf(self, monkeypatch, seed):
+        # the documented rule, written out: (a*B + b) mod P < floor(rate*P)
+        prime = 2 ** 61 - 1
+        rng = random.Random(seed)
+        a, b = rng.randrange(1, prime), rng.randrange(prime)
+        cut = int(0.2 * prime)
+        criterion = survey.coincidence_criterion
+        monkeypatch.setattr(survey, "coincidence_criterion", lambda S, q: not criterion(S, q))
+        for g in range(2, 12):
+            want = []
+            enumerate_genus(g, lambda S: want.append(S.min_generators)
+                            if (a * S.member_bitmap + b) % prime < cut else None)
+            (row,) = build_lgm_table([g], (2,), selfcheck_seed=seed, sample_rate=0.2)
+            assert row.checked == len(want)
+            assert sorted(gens for _, gens in row.mismatches) == sorted(want)
 
 
 class TestLeafKernels:
