@@ -75,6 +75,16 @@ def _parse_positive(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _parse_nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _parse_genus_range(text: str) -> range:
     try:
         if ".." in text:
@@ -126,7 +136,8 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=_parse_positive, default=None,
                    help="parallel workers (default: NSG_WORKERS or 1)")
     p.add_argument("--node-budget", type=_parse_positive, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--seed", type=int, default=0, help="seed for --selfcheck sampling")
+    p.add_argument("--seed", type=_parse_nonnegative, default=0,
+                   help="seed for --selfcheck sampling (a non-negative integer)")
     p.add_argument("--selfcheck", action="store_true",
                    help="re-verify sampled coincidence flags by full scans")
     p.add_argument("--reference", default=None, metavar="PATH|auto",

@@ -7,11 +7,17 @@ number), which raises the genus by one, and the parent is recovered by
 adding the Frobenius number back.  A depth-first walk of the tree down
 to depth g therefore visits every semigroup of genus g exactly once.
 
-Traversal state is a fixed window bitset over [0, 3*g + 2), which is
-enough because a genus-g semigroup has conductor at most 2g and minimal
-generators at most 3g.  A node is a :class:`TreeNode`, a named tuple
-(bits, frobenius, genus, min_generators, multiplicity); the walk keeps
-plain tuples in that layout.
+A walk to genus g keeps its state in a fixed window [0, W),
+W = 3*g + 2 (at least 8), which is enough because a genus-g semigroup
+has conductor at most 2g and minimal generators at most 3g; it also
+keeps every shift of the new-generator test below non-negative.  The
+walk keeps each node as a plain tuple (bits, frobenius, genus, gens_mask, multiplicity, mirror):
+``bits`` has bit x set iff x is a member, ``gens_mask`` has bit x set
+iff x is a minimal generator, and ``mirror`` is ``bits`` reversed in
+the window, bit W - 1 - x set iff x is a member, so that
+W = mirror.bit_length().  The public :class:`TreeNode` is a named tuple
+(bits, frobenius, genus, min_generators, multiplicity) with the
+generators as a tuple, converted at the API boundary.
 
 ``_walk`` is the one traversal.  It hands each raw leaf tuple to a
 single callback and returns the number of nodes it touched at each
@@ -35,29 +41,35 @@ serve every row of a table; either way the unit tallies are merged in
 unit order, and the row's node budget is checked after each unit, so an
 overrun stops the row one unit after it happens.
 
-Child expansion is all bitwise.  Removing the generator lam = gens[i]
-gives the child with bits ``bits`` minus lam and Frobenius number lam.
-Removing the multiplicity m happens only at an ordinary semigroup
-<m, ..., 2m - 1>, whose child is <m + 1, ..., 2m + 1>.  Otherwise the
-child keeps m, and its generators are gens without lam, followed by
-lam + m unless that is g + s for a generator g in gens[1:i] and a
-nonzero member s.  Removing lam takes decompositions away but adds
-none, so every other generator stays minimal; a new one is lam + s for
-a nonzero member s, and lies below the child's conductor plus m, which
-is lam + 1 + m, so s = m.  ``rest``, the OR of the members shifted by
-each of gens[1:i], settles lam + m with one bit test (the member 0 only
-sets bits below lam) and grows by one shift per child.
+Child expansion is all bitwise.  The effective generators are the set
+bits of gens_mask above the Frobenius number.  Removing one, lam, gives
+the child with lam cleared in bits, mirror and gens_mask and Frobenius
+number lam.  Removing the multiplicity m happens only at an ordinary
+semigroup <m, ..., 2m - 1>, whose child is <m + 1, ..., 2m + 1>.
+Otherwise the child keeps m, and its generators are the parent's
+without lam, plus lam + m unless one AND is nonzero:
+
+    bits & ((1 << lam) - (2 << m)) & (mirror >> W - 1 - m - lam)
+
+Removing lam takes decompositions away but adds none, so every other
+generator stays minimal; a new one is lam + s for a nonzero member s,
+and lies below the child's conductor plus m, which is lam + 1 + m, so
+s = m.  lam + m is then not new iff it is a + b for members a and b of
+the child with m < a, b < lam (a = m would need b = lam, which is
+gone).  Bit x of the shifted mirror is set iff m + lam - x is a member,
+so the AND has bit x set iff x and m + lam - x are members in (m, lam):
+the one test settles the new generator, with no loop over the other
+generators and no tuple built per child.
 """
 
 import contextlib
 import multiprocessing
 import operator
 import pickle
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import NsgError, ResourceLimit
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, bit_indices
 
 __all__ = [
     "TreeNode",
@@ -89,46 +101,67 @@ class TreeNode(NamedTuple):
         return tuple(g for g in self.min_generators if g > self.frobenius)
 
     def semigroup(self) -> NumericalSemigroup:
-        return _semigroup(self)
+        return _semigroup(_raw(self))
 
 
 def _semigroup(node: tuple) -> NumericalSemigroup:
     """The NumericalSemigroup of a raw node."""
-    bits, frobenius, genus, gens, _ = node
+    bits, frobenius, genus, gens, _, _ = node
     conductor = frobenius + 1
-    return NumericalSemigroup(gens, conductor, genus, bits & ((1 << conductor) - 1))
+    return NumericalSemigroup(tuple(bit_indices(gens)), conductor, genus,
+                              bits & ((1 << conductor) - 1))
 
 
 def _root(max_genus: int) -> tuple:
     # floor of 8 keeps the window usable even at genus 0
-    window = max(3 * max_genus + 2, 8)
-    return ((1 << window) - 1, -1, 0, (1,), 1)
+    full = (1 << max(3 * max_genus + 2, 8)) - 1
+    return (full, -1, 0, 2, 1, full)
+
+
+def _node(raw: tuple) -> TreeNode:
+    """The TreeNode of a raw node."""
+    bits, frobenius, genus, gens, m, _ = raw
+    return TreeNode(bits, frobenius, genus, tuple(bit_indices(gens)), m)
+
+
+def _raw(node: TreeNode) -> tuple:
+    """The raw node of a TreeNode.
+
+    Its window is bits.bit_length() wide, since every bit from the
+    conductor to the top of the window is set, or 3*genus + 5 if that is
+    wider, so that the node's children fit it.
+    """
+    bits = node.bits
+    bits |= (1 << max(bits.bit_length(), 3 * node.genus + 5)) - (1 << node.frobenius + 1)
+    mirror = int(format(bits, "b")[::-1], 2)
+    return (bits, node.frobenius, node.genus, sum(1 << g for g in node.min_generators),
+            node.multiplicity, mirror)
 
 
 def root_node(max_genus: int) -> TreeNode:
     """The full semigroup, with a bit window sized for ``max_genus``."""
-    return TreeNode._make(_root(max_genus))
+    return _node(_root(max_genus))
 
 
 def _expand(node: tuple) -> list[tuple]:
     """Raw children of a raw node, in increasing removed-generator order."""
-    bits, frobenius, genus, gens, m = node
-    first = bisect_right(gens, frobenius)
+    bits, frobenius, genus, gens, m, mirror = node
+    top = mirror.bit_length() - 1 - m  # mirror bit of x is top + m - x
     genus += 1
     out = []
-    if not first:  # an ordinary semigroup: removing m leaves <m+1, ..., 2m+1>
-        first = 1
-        out.append((bits & ~(1 << m), m, genus, tuple(range(m + 1, 2 * m + 2)), m + 1))
-    rest = 0
-    for g in gens[1:first]:
-        rest |= bits << g
-    for i in range(first, len(gens)):
-        lam = gens[i]
-        kid = gens[:i] + gens[i + 1:]
-        if not rest >> lam + m & 1:
-            kid += (lam + m,)
-        out.append((bits ^ 1 << lam, lam, genus, kid, m))
-        rest |= bits << lam
+    effective = gens >> frobenius + 1 << frobenius + 1
+    if frobenius < m:  # an ordinary semigroup: removing m leaves <m+1, ..., 2m+1>
+        effective ^= 1 << m
+        out.append((bits ^ 1 << m, m, genus, ((1 << m + 1) - 1) << m + 1, m + 1,
+                    mirror ^ 1 << top))
+    while effective:
+        low = effective & -effective
+        effective ^= low
+        lam = low.bit_length() - 1
+        kid = gens ^ low
+        if not bits & (low - (2 << m)) & (mirror >> top - lam):
+            kid |= low << m
+        out.append((bits ^ low, lam, genus, kid, m, mirror ^ 1 << top + m - lam))
     return out
 
 
@@ -138,11 +171,11 @@ def children(node: TreeNode) -> list[TreeNode]:
     The child that removes the generator lam = min_generators[i] has
     bits ``node.bits`` with lam cleared, Frobenius number lam, and
     minimal generators min_generators without lam, followed by lam + m
-    when that is not g + s for a nonzero member s and a generator g with
-    m < g < lam, where m is the multiplicity (see the module docstring
-    for the ordinary semigroups, whose child removes m itself).
+    when that is not a + b for members m < a, b < lam, where m is the
+    multiplicity (see the module docstring for the ordinary semigroups,
+    whose child removes m itself).
     """
-    return [TreeNode._make(kid) for kid in _expand(node)]
+    return [_node(kid) for kid in _expand(_raw(node))]
 
 
 def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
@@ -150,9 +183,10 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
     """Depth-first walk from the raw node ``start`` down to ``target_genus``.
 
     ``leaf_fn`` (when given) receives each node at the target genus as a
-    raw tuple in TreeNode field order, children taken in increasing
-    removed-generator order.  With a ``tally`` dict, the walk counts
-    there how many leaves gave each value of ``leaf_fn``.  Returns
+    raw tuple (bits, frobenius, genus, gens_mask, multiplicity, mirror),
+    children taken in increasing removed-generator order.  With a
+    ``tally`` dict, the walk counts there how many leaves gave each value
+    of ``leaf_fn``.  Returns
     ``sizes``: ``sizes[h]`` is the number of nodes touched at genus h,
     for h in 0..target_genus.
 
@@ -181,8 +215,7 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
         elif genus > last:  # ``start`` itself lies at the target genus
             leaves = (node,)
         elif leaf_fn is None:
-            gens = node[3]
-            kids = len(gens) - bisect_right(gens, node[1])
+            kids = (node[3] >> node[1] + 1).bit_count()
             nodes += kids
             sizes[target_genus] += kids
         else:
@@ -301,14 +334,21 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
                      node_budget: int = DEFAULT_NODE_BUDGET, pool=None):
     """Fold ``map_fn`` over every semigroup of genus ``g``.
 
-    ``map_fn`` receives each semigroup as the raw leaf tuple of the walk,
-    in TreeNode field order (bits, frobenius, genus, min_generators,
-    multiplicity), and returns a hashable value.  The leaves are tallied
-    by value, and each distinct value is merged into ``zero`` once, as
-    ``count`` copies built by doubling with ``add_fn``, in the order of
-    its first leaf (units in unit order).  ``add_fn`` has to be
-    associative with ``zero`` as its identity; a tuple slot that
-    ``tuple_add`` concatenates lists its parts in that order.
+    ``map_fn`` receives each semigroup as the raw leaf tuple of the walk
+    (bits, frobenius, genus, gens_mask, multiplicity, mirror), and
+    returns a hashable value.  ``bits`` has bit x set iff x is a member,
+    ``gens_mask`` bit x iff x is a minimal generator, and ``mirror`` is
+    ``bits`` reversed in the walk's window [0, W), W = 3*g + 2 (at least
+    8): bit W - 1 - x is set iff x is a member, and
+    W = mirror.bit_length().  ``semigroup.bit_indices(gens_mask)`` lists
+    the generators.
+
+    The leaves are tallied by value, and each distinct value is merged
+    into ``zero`` once, as ``count`` copies built by doubling with
+    ``add_fn``, in the order of its first leaf (units in unit order).
+    ``add_fn`` has to be associative with ``zero`` as its identity; a
+    tuple slot that ``tuple_add`` concatenates lists its parts in that
+    order.
 
     The walk is split along the ordinary-semigroup spine (see the module
     docstring) and each unit is tallied on its own: in this process, or,
@@ -322,10 +362,10 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     budget is crossed; with a pool, only once the units already sent have
     finished.
 
-    With a pool, ``map_fn``, ``add_fn`` and ``zero`` must each be
-    picklable (a module-level function, not a lambda or nested function),
-    though only ``map_fn`` is sent; NsgError is raised otherwise, before
-    any unit is sent.
+    With a pool, ``map_fn`` must be picklable (a module-level function,
+    not a lambda or nested function), since it is sent to the workers;
+    NsgError is raised otherwise, before any unit is sent.  ``add_fn``
+    and ``zero`` stay in this process and may be anything.
 
     Returns (aggregate, nodes_walked).
     """
@@ -337,12 +377,11 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     if pool is None:  # every unit counts straight into ``tally``
         parts = (_fold_subtree(task, tally) for task in tasks)
     else:
-        for name, value in (("map_fn", map_fn), ("add_fn", add_fn), ("zero", zero)):
-            try:
-                pickle.dumps(value)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                raise NsgError(f"a pooled fold needs a picklable {name}, such as a "
-                               f"module-level function: {exc}") from None
+        try:
+            pickle.dumps(map_fn)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise NsgError(f"a pooled fold needs a picklable map_fn, such as a "
+                           f"module-level function: {exc}") from None
         # Pool.map's own chunk rule: about four chunks per worker
         chunksize = -(-len(tasks) // (4 * len(pool._pool)))
         parts = pool.imap(_fold_subtree, tasks, chunksize=chunksize)

@@ -14,7 +14,6 @@ Every tally is an exact integer or Fraction; rendering to two decimals
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -136,13 +135,17 @@ def _lgm_leaf(q_list, leaf):
     """Population, coincidence and sufficient-condition flags of a raw leaf.
 
     Coincidence needs q*(l_i - l1) to be a member for every generator
-    l_i; these grow with l_i, so the first one above the Frobenius number
-    ends the scan.  q <= floor(q/l1)*l2 writes every q*(l_i - l1) as
-    l1*(floor(q/l1)*l_i - q) + (q mod l1)*l_i, so it settles q at once.
+    l_i, and holds for the ones with q*(l_i - l1) above the Frobenius
+    number F, so only the generators l1 < l_i <= l1 + F//q are read: the
+    set bits of gens_mask >> l1 + 1 below F//q.  q <= floor(q/l1)*l2
+    writes every q*(l_i - l1) as l1*(floor(q/l1)*l_i - q) +
+    (q mod l1)*l_i, so it settles q at once.
     """
-    bits, frobenius, _, gens, _ = leaf
-    l1 = gens[0]
-    l2 = gens[1] if len(gens) > 1 else 0  # no l2: the condition never holds
+    bits, frobenius, _, gens, l1, _ = leaf
+    above = gens >> l1 + 1
+    if not above:  # the full semigroup <1>: no l2, and no generator to scan
+        return (1,) + (1,) * len(q_list) + (0,) * len(q_list)
+    l2 = l1 + (above & -above).bit_length()
     out = [1]
     sufficient = []
     for q in q_list:
@@ -152,13 +155,13 @@ def _lgm_leaf(q_list, leaf):
             continue
         sufficient.append(0)
         flag = 1
-        for g in gens:
-            d = q * (g - l1)
-            if d > frobenius:
-                break
-            if not bits >> d & 1:
+        scan = above & ((1 << frobenius // q) - 1)
+        while scan:
+            low = scan & -scan
+            if not bits >> q * low.bit_length() & 1:  # l_i - l1 = low.bit_length()
                 flag = 0
                 break
+            scan ^= low
         out.append(flag)
     out += sufficient
     return tuple(out)
@@ -199,9 +202,9 @@ def _lgm_checked_leaf(q_list, rule, leaf):
 
 def _gmgen_leaf(lcm, leaf):
     # the last slot is n_non/n_total scaled by ``lcm``, a multiple of n_total
-    gens = leaf[3]
-    n_gm = bisect_left(gens, 2 * gens[0] - 1)
-    n_total = len(gens)
+    gens, m = leaf[3], leaf[4]
+    n_gm = (gens & ((1 << 2 * m - 1) - 1)).bit_count()
+    n_total = gens.bit_count()
     return (1, n_gm, n_total - n_gm, (n_total - n_gm) * (lcm // n_total))
 
 
@@ -230,15 +233,19 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
                     sample_rate: float = 0.01) -> list[LgmTableRow]:
     """Coincidence and sufficient-condition portions per genus and q.
 
-    With a ``selfcheck_seed``, the same fold re-verifies the coincidence
-    flags of a seeded ``sample_rate`` share of the leaves (see
-    ``_lgm_checked_leaf``) and each row carries what it checked.
+    With a ``selfcheck_seed`` (a non-negative int), the same fold
+    re-verifies the coincidence flags of a seeded ``sample_rate`` share of
+    the leaves (see ``_lgm_checked_leaf``) and each row carries what it
+    checked.
     """
     q_list = tuple(q_list)
     if not q_list:
         raise ValueError("q_list must not be empty")
     if min(q_list) < 1:
         raise ValueError("field size parameter q must be positive")
+    if selfcheck_seed is not None and selfcheck_seed < 0:
+        # random.Random seeds by absolute value, so -s would draw the sample of s
+        raise ValueError("selfcheck_seed must be non-negative")
     k = len(q_list)
     if selfcheck_seed is None:
         leaf, zero = partial(_lgm_leaf, q_list), (0,) * (1 + 2 * k)

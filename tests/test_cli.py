@@ -119,6 +119,15 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "positive integer" in captured.err
 
+    @pytest.mark.parametrize("seed", ["-3", "-1", "x"])
+    def test_seed_must_be_non_negative(self, capsys, seed):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "lgm", "--genus", "2..4", "--selfcheck", "--seed", seed])
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-negative integer" in captured.err
+
     def test_no_fork_is_a_clear_error(self, capsys, monkeypatch):
         def no_context(*args):
             raise AssertionError("no pool may be started")

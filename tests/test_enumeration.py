@@ -13,7 +13,17 @@ from nsgbounds import (
     root_node,
     worker_pool,
 )
-from nsgbounds.enumeration import _add_times, _root, _spine_split, _walk, tuple_add
+from nsgbounds.enumeration import (
+    _add_times,
+    _expand,
+    _node,
+    _raw,
+    _root,
+    _spine_split,
+    _walk,
+    tuple_add,
+)
+from nsgbounds.semigroup import bit_indices
 
 
 # OEIS A007323: the number of numerical semigroups of genus 0, 1, 2, ...
@@ -91,6 +101,19 @@ class TestTreeStructure:
                 assert child.multiplicity == kid.multiplicity
                 stack.append(kid)
 
+    def test_children_past_the_window(self):
+        # root_node(4) sizes its window for genus 4; children() widens it
+        stack, seen = [root_node(4)], 0
+        while stack:
+            node = stack.pop()
+            seen += 1
+            S = from_generators(node.min_generators)
+            assert (S.genus, S.frobenius) == (node.genus, node.frobenius)
+            assert S.member_bitmap == node.bits & ((1 << S.conductor) - 1)
+            if node.genus < 9:
+                stack.extend(children(node))
+        assert seen == sum(A007323[:10])
+
     def test_parent_recovered_by_frobenius(self):
         # adding the Frobenius number back gives the unique parent
         parent = root_node(5)
@@ -105,6 +128,52 @@ class TestTreeStructure:
         (child,) = children(S)
         assert child.min_generators == (2, 3)
         assert child.effective_generators == (2, 3)
+
+
+class TestRawKernel:
+    """Every raw node to genus 14, against its definition."""
+
+    @staticmethod
+    def raw_nodes(g):
+        stack = [_root(g)]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node[2] < g:
+                stack.extend(_expand(node))
+
+    def test_mirror_reverses_bits(self):
+        for bits, _, _, _, _, mirror in self.raw_nodes(14):
+            assert mirror.bit_length() == bits.bit_length() == 3 * 14 + 2
+            assert format(mirror, "b") == format(bits, "b")[::-1]
+
+    def test_gens_mask_is_the_minimal_generating_set(self):
+        for node in self.raw_nodes(14):
+            bits, frobenius, genus, gens, m, _ = node
+            S = from_generators(bit_indices(gens))
+            assert tuple(bit_indices(gens)) == S.min_generators
+            assert (S.frobenius, S.genus, S.multiplicity) == (frobenius, genus, m)
+            assert S.member_bitmap == bits & ((1 << frobenius + 1) - 1)
+
+    def test_new_generator_matches_sum_set(self):
+        # a child that removes lam > m has lam + m as a generator iff
+        # lam + m is no sum of two members of the child in (m, lam)
+        for node in self.raw_nodes(14):
+            bits, frobenius, genus, gens, m, _ = node
+            for kid in _expand(node) if genus < 14 else ():
+                lam = kid[1]
+                if lam == m:
+                    continue
+                members = [x for x in range(m + 1, lam) if kid[0] >> x & 1]
+                summed = any(kid[0] >> (lam + m - x) & 1 for x in members)
+                assert bool(kid[3] >> lam + m & 1) == (not summed)
+                assert kid[3] & ~(1 << lam + m) == gens & ~(1 << lam)
+
+    def test_children_round_trip_through_tree_nodes(self):
+        for node in self.raw_nodes(14):
+            if node[2] < 14:
+                assert _raw(_node(node)) == node
+                assert children(_node(node)) == [_node(kid) for kid in _expand(node)]
 
 
 class TestBudget:
@@ -140,13 +209,20 @@ class TestMapReduce:
         assert serial == parallel
         assert serial_nodes == parallel_nodes
 
-    @pytest.mark.parametrize("slot", ["map_fn", "add_fn"])
+    # only map_fn crosses to the workers, so only it must pickle
+    @pytest.mark.parametrize("slot", ["map_fn"])
     def test_parallel_rejects_unpicklable_callback(self, slot):
-        fns = {"map_fn": _one, "add_fn": tuple_add, slot: lambda *a: (1,)}
         with pytest.raises(NsgError, match=slot):
             with worker_pool(2) as pool:
-                map_reduce_genus(8, fns["map_fn"], (0,), fns["add_fn"],
-                                 pool=pool)
+                map_reduce_genus(8, lambda leaf: (1,), (0,), pool=pool)
+
+    def test_pooled_fold_takes_a_lambda_merge(self):
+        serial = map_reduce_genus(9, _gens_fingerprint, (0, 0, 0))
+        with worker_pool(2) as pool:
+            merged = map_reduce_genus(9, _gens_fingerprint, (0, 0, 0),
+                                      lambda x, y: tuple(a + b for a, b in zip(x, y)),
+                                      pool=pool)
+        assert merged == serial
 
     def test_parallel_budget_enforced(self):
         with pytest.raises(ResourceLimit):
@@ -180,7 +256,7 @@ class TestFusedWalk:
         want = []
         descend(root_node(12), want)
         got = []
-        _walk(_root(12), 12, 10 ** 6, got.append)
+        _walk(_root(12), 12, 10 ** 6, lambda leaf: got.append(tuple(_node(leaf))))
         assert got == want
 
     @pytest.mark.parametrize("visitor", [None, lambda S: None], ids=["count", "visit"])
@@ -210,7 +286,7 @@ class TestSpineSplit:
         assert nodes == sum(count_by_genus(g))
         population = []
         enumerate_genus(g, lambda S: population.append(S.min_generators))
-        assert sorted(leaf[3] for leaf in leaves) == sorted(population)
+        assert sorted(tuple(bit_indices(leaf[3])) for leaf in leaves) == sorted(population)
 
     def test_largest_unit_is_small(self):
         spine, units = _spine_split(14)
@@ -223,4 +299,5 @@ def _one(S):
 
 
 def _gens_fingerprint(leaf):
-    return (1, len(leaf[3]), sum(leaf[3]))
+    gens = bit_indices(leaf[3])
+    return (1, len(gens), sum(gens))

@@ -235,6 +235,18 @@ class TestSelfcheck:
         assert [r.checked for r in rows] == [r.population for r in rows]
         assert all(r.mismatches == () for r in rows)
 
+    def test_negative_seed_is_rejected(self):
+        # random.Random(-s) would draw the sample of s
+        with pytest.raises(ValueError, match="non-negative"):
+            build_lgm_table(range(2, 6), (2,), selfcheck_seed=-3)
+        with pytest.raises(ValueError, match="non-negative"):
+            selfcheck_lgm(range(2, 6), (2,), seed=-1)
+
+    @pytest.mark.parametrize("seed, checked", [(0, 298), (3, 278), (4, 293)])
+    def test_non_negative_seeds_keep_their_samples(self, seed, checked):
+        rows = build_lgm_table(range(2, 13), (2,), selfcheck_seed=seed, sample_rate=0.2)
+        assert sum(r.checked for r in rows) == checked
+
     @pytest.mark.parametrize("seed", [0, 1, 29])
     def test_sample_is_a_seeded_hash_of_the_leaf(self, monkeypatch, seed):
         # the documented rule, written out: (a*B + b) mod P < floor(rate*P)
