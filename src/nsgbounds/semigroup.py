@@ -19,6 +19,7 @@ reductions return the canonical representative in [0, modulus).
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import EmptyInput, NonCoprimeGenerators
@@ -108,23 +109,27 @@ def _closure(gens: list[int], window: int) -> int:
 
 
 def _minimal_generators(bits: int, conductor: int, multiplicity: int) -> tuple[int, ...]:
-    """Minimal generators read off a membership bitset.
+    """Minimal generators read off a membership bitset, ascending.
 
-    A member is minimal iff it is not a sum of two nonzero members.
-    Every minimal generator is below conductor + multiplicity, since
-    anything larger splits off one multiplicity.
+    A member is minimal iff it is not a sum of two nonzero members, and
+    every minimal generator is below conductor + multiplicity, since
+    anything larger splits off one multiplicity.  The lowest set bit of
+    ``free`` (at first the nonzero members below that limit) is the next
+    generator g; clearing every bit up to g and ``nonzero << g`` drops g
+    plus any nonzero member.  A non-minimal member is g' + s with g' a
+    smaller minimal generator and s a nonzero member, so it is cleared
+    before it becomes the lowest bit: one step per generator.
     """
     if conductor == 0:
         return (1,)
-    limit = conductor + multiplicity
-    lmask = (1 << limit) - 1
-    nonzero = bits & lmask & ~1
-    sums = 0
-    for y in bit_indices(nonzero):
-        if 2 * y >= limit:
-            break  # every pair has its smaller element <= (limit-1)/2
-        sums |= (nonzero << y) & lmask
-    return tuple(bit_indices(nonzero & ~sums))
+    nonzero = bits & ((1 << (conductor + multiplicity)) - 1) & ~1
+    free = nonzero
+    out = []
+    while free:
+        g = (free & -free).bit_length() - 1
+        out.append(g)
+        free &= ~(nonzero << g) & (-2 << g)
+    return tuple(out)
 
 
 def from_generators(gens) -> NumericalSemigroup:
@@ -134,11 +139,23 @@ def from_generators(gens) -> NumericalSemigroup:
     of smaller members are dropped so that equal semigroups compare
     equal however they were presented.
 
-    Raises EmptyInput for an empty set, NonCoprimeGenerators when the
-    gcd exceeds 1 (the complement would be infinite), and ValueError
-    for non-positive entries.
+    The first closure window is ``(lo-1)*(g-1) + g``, where lo is the
+    smallest entry and g the smallest entry coprime to it: the semigroup
+    contains <lo, g>, whose Frobenius number is lo*g - lo - g (Sylvester),
+    so the window holds the conductor and a run of g >= lo members above
+    it.  When no entry is coprime to lo, the first window is
+    ``(lo-1)*(hi-1) + hi`` with hi the largest entry, which Schur's bound
+    F <= (lo-1)*(hi-1) - 1 makes large enough too.  Either way a run of lo
+    members above the last gap certifies the conductor, and the window
+    doubles if there is none.
+
+    Raises EmptyInput for an empty set, TypeError for an entry that is
+    not an integer (floats, Fractions and strings are rejected, not
+    truncated; anything with ``__index__`` is accepted), ValueError for
+    non-positive entries, and NonCoprimeGenerators when the gcd exceeds 1
+    (the complement would be infinite).
     """
-    gens = sorted({int(g) for g in gens})
+    gens = sorted(set(map(operator.index, gens)))
     if not gens:
         raise EmptyInput("at least one generator is required")
     if gens[0] <= 0:
@@ -146,15 +163,18 @@ def from_generators(gens) -> NumericalSemigroup:
     if math.gcd(*gens) != 1:
         raise NonCoprimeGenerators(f"gcd of {gens} exceeds 1")
 
-    lo, hi = gens[0], gens[-1]
-    window = (lo - 1) * (hi - 1) + hi
+    lo = gens[0]
+    for g in gens:  # ends on the largest entry when none is coprime to lo
+        if math.gcd(lo, g) == 1:
+            break
+    window = (lo - 1) * (g - 1) + g
     while True:
         bits = _closure(gens, window)
         gap_mask = ~bits & ((1 << window) - 1)
         conductor = gap_mask.bit_length()
         # A run of `lo` consecutive members certifies that everything at
         # and above the run is a member; otherwise the window was too
-        # small (the initial window provably suffices for a coprime pair).
+        # small, which the bounds above rule out for the first window.
         if window - conductor >= lo:
             break
         window *= 2

@@ -1,6 +1,8 @@
 """Construction, canonicalization and membership tests."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +18,7 @@ from nsgbounds import (
     unique_representation,
 )
 
-from conftest import oracle_members_upto, oracle_two_gen_members
+from conftest import oracle_gap_sets, oracle_members_upto, oracle_two_gen_members
 
 
 def coprime_pairs(a_max, b_max):
@@ -58,6 +60,23 @@ class TestFromGenerators:
         with pytest.raises(ValueError):
             from_generators([0, 3])
 
+    @pytest.mark.parametrize("bad", [2.7, 3.0, Fraction(3), "3"])
+    def test_non_integral_entry_rejected(self, bad):
+        # entries are read with operator.index, so nothing is truncated
+        with pytest.raises(TypeError):
+            from_generators([bad, 5])
+
+    def test_int_like_entries_accepted(self):
+        class IntLike:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        assert from_generators([IntLike(2), 3]) == from_generators([2, 3])
+        assert from_generators([True, 7]) == from_generators([1])
+
     def test_no_coprime_pair_inside_set(self):
         # gcd of the whole set is 1 but no two elements are coprime
         S = from_generators([6, 10, 15])
@@ -81,6 +100,48 @@ class TestFromGenerators:
             for g in S.min_generators:
                 assert not any(is_member(S, y) and is_member(S, g - y)
                                for y in range(1, g))
+
+    def test_against_oracle(self):
+        # seeded random sets with redundant sums mixed in, and sets with no
+        # entry coprime to the smallest, which take the fallback window
+        rng = random.Random(20171)
+        sets = [(6, 10, 15), (12, 18, 20, 27), (10, 12, 15), (6, 10, 45),
+                (30, 42, 70, 105), (15, 21, 35), (6, 9, 10)]
+        while len(sets) < 300:
+            gens = rng.sample(range(1, 61), rng.randint(1, 7))
+            if math.gcd(*gens) != 1:
+                continue
+            if len(gens) > 1 and rng.random() < 0.5:
+                gens.append(gens[0] + gens[1])
+            sets.append(tuple(gens))
+        for gens in sets:
+            S = from_generators(gens)
+            lo = min(gens)
+            member = oracle_members_upto(gens, S.conductor + 2 * lo + 1)
+            # the conductor is certified by the oracle itself: its last gap
+            # is conductor - 1, followed by a run of lo members
+            assert S.conductor == 0 or not member[S.conductor - 1], gens
+            assert all(member[S.conductor:S.conductor + lo]), gens
+            assert S.member_bitmap == sum(1 << i for i in range(S.conductor) if member[i])
+            assert S.genus == S.conductor - sum(member[:S.conductor])
+            # minimal generators: the nonzero members that are not a sum of
+            # two nonzero members, brute force; none lies at or above c + m
+            expected = tuple(x for x in range(1, len(member)) if member[x]
+                             and not any(member[y] and member[x - y]
+                                         for y in range(1, x // 2 + 1)))
+            assert S.min_generators == expected, gens
+            assert from_generators(S.min_generators) == S
+
+    def test_gap_set_round_trip(self, gap_sets_by_genus):
+        for g in range(10):
+            gap_sets = gap_sets_by_genus[g] if g in gap_sets_by_genus else oracle_gap_sets(g)
+            assert len(gap_sets) == (1, 1, 2, 4, 7, 12, 23, 39, 67, 118)[g]
+            for gaps in gap_sets:
+                gens = [x for x in range(1, 4 * g + 3) if x not in gaps]
+                S = from_generators(gens)
+                assert S.genus == g
+                assert S.gaps() == sorted(gaps)
+                assert from_generators(S.min_generators) == S
 
     def test_genus_counts_gaps(self):
         for gens in ([2, 3], [5, 7, 18], [6, 10, 15], [3, 5]):
