@@ -133,6 +133,16 @@ def gm_generic(S: NumericalSemigroup, q: int) -> int:
     return _survivor_mask(S, q, list(S.min_generators)).bit_count() + 1
 
 
+def _index_list(gens, index_set) -> list[int]:
+    """The distinct 1-based generator indices in ``index_set``, ascending."""
+    idx = sorted(set(index_set))
+    if not idx:
+        raise EmptyIndexSet("index set must name at least one generator")
+    if idx[0] < 1 or idx[-1] > len(gens):
+        raise ValueError(f"generator indices must lie in 1..{len(gens)}")
+    return idx
+
+
 def gm_set(S: NumericalSemigroup, q: int, index_set=None) -> list[int]:
     """Explicit surviving set L \\ union_{i in I} (q*l_i + L).
 
@@ -141,16 +151,8 @@ def gm_set(S: NumericalSemigroup, q: int, index_set=None) -> list[int]:
     """
     _check_q(q)
     gens = S.min_generators
-    if index_set is None:
-        chosen = list(gens)
-    else:
-        idx = sorted(set(index_set))
-        if not idx:
-            raise EmptyIndexSet("index set must name at least one generator")
-        if idx[0] < 1 or idx[-1] > len(gens):
-            raise ValueError(f"generator indices must lie in 1..{len(gens)}")
-        chosen = [gens[i - 1] for i in idx]
-    return bit_indices(_survivor_mask(S, q, chosen))
+    idx = range(1, len(gens) + 1) if index_set is None else _index_list(gens, index_set)
+    return bit_indices(_survivor_mask(S, q, [gens[i - 1] for i in idx]))
 
 
 def _ceil_div(x: int, y: int) -> int:
@@ -267,11 +269,7 @@ def verify_index_reduction(S: NumericalSemigroup, q: int, index_set) -> bool:
     """
     _check_q(q)
     gens = S.min_generators
-    idx = sorted(set(index_set))
-    if not idx:
-        raise EmptyIndexSet("index set must name at least one generator")
-    if idx[0] < 1 or idx[-1] > len(gens):
-        raise ValueError(f"generator indices must lie in 1..{len(gens)}")
+    idx = _index_list(gens, index_set)
     chosen = set(idx)
     for i in range(1, len(gens) + 1):
         if i in chosen:

@@ -1,10 +1,12 @@
 """Command-line front door: membership, bounds, verification, tables."""
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from functools import partial
 
 from .bounds import (
     DEFAULT_Q_SWEEP,
@@ -16,6 +18,7 @@ from .enumeration import DEFAULT_NODE_BUDGET
 from .errors import NsgError, ResourceLimit
 from .semigroup import TwoGenSemigroup, from_generators, is_member, unique_representation
 from .survey import (
+    _parse_table_csv,
     build_gmgen_table,
     build_lgm_table,
     compare_tables,
@@ -41,48 +44,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_gens(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
-        gens = tuple(int(part) for part in text.split(","))
+        values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not gens:
-        raise argparse.ArgumentTypeError("at least one generator is required")
-    if any(g <= 0 for g in gens):
-        raise argparse.ArgumentTypeError("generators must be positive")
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(f"{what} must be positive")
+    return values
+
+
+def _parse_gens(text: str) -> tuple[int, ...]:
+    gens = _parse_int_list(text, "generators")
     if math.gcd(*gens) != 1:
         raise argparse.ArgumentTypeError(f"generators {list(gens)} are not coprime")
     return gens
 
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
-    try:
-        qs = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if any(q < 1 for q in qs):
-        raise argparse.ArgumentTypeError("q values must be positive")
+    qs = _parse_int_list(text, "q values")
+    if len(set(qs)) < len(qs):
+        raise argparse.ArgumentTypeError(f"q values must be distinct, got {text!r}")
     return qs
 
 
-def _parse_positive(text: str) -> int:
+def _parse_int(text: str, minimum: int) -> int:
     try:
         value = int(text)
-        if value >= 1:
+        if value >= minimum:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-
-
-def _parse_nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    kind = "positive" if minimum == 1 else "non-negative"
+    raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
 
 
 def _parse_genus_range(text: str) -> range:
@@ -133,10 +127,11 @@ def build_parser() -> _Parser:
                    help="q values for the lgm table")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.add_argument("--workers", type=_parse_positive, default=None,
+    p.add_argument("--workers", type=partial(_parse_int, minimum=1), default=None,
                    help="parallel workers (default: NSG_WORKERS or 1)")
-    p.add_argument("--node-budget", type=_parse_positive, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--seed", type=_parse_nonnegative, default=0,
+    p.add_argument("--node-budget", type=partial(_parse_int, minimum=1),
+                   default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--seed", type=partial(_parse_int, minimum=0), default=0,
                    help="seed for --selfcheck sampling (a non-negative integer)")
     p.add_argument("--selfcheck", action="store_true",
                    help="re-verify sampled coincidence flags by full scans")
@@ -238,47 +233,59 @@ def _render_table(kind, rows, q_list, fmt, truncated=False):
     return out
 
 
+def _read_reference(kind, path) -> str:
+    """The ``--reference`` CSV, parsed so that a bad one fails before the walk."""
+    if path == "auto":
+        text = load_reference(kind)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    _parse_table_csv(text)
+    return text
+
+
 def _cmd_table(args, parser) -> int:
     workers = args.workers
     if workers is None:
         try:
-            workers = _parse_positive(os.environ.get("NSG_WORKERS", "1"))
+            workers = _parse_int(os.environ.get("NSG_WORKERS", "1"), minimum=1)
         except argparse.ArgumentTypeError as exc:
             parser.error(f"NSG_WORKERS: {exc}")
+    if args.selfcheck and args.kind != "lgm":
+        parser.error("--selfcheck applies to the lgm table only")
     q_list = tuple(args.q)
-    selfcheck = args.selfcheck and args.kind == "lgm"
-    truncated = False
     try:
-        if args.kind == "lgm":
-            rows = build_lgm_table(args.genus, q_list, workers=workers,
-                                   node_budget=args.node_budget,
-                                   selfcheck_seed=args.seed if selfcheck else None)
-        else:
-            rows = build_gmgen_table(args.genus, workers=workers,
-                                     node_budget=args.node_budget)
-    except ResourceLimit as exc:
-        rows = exc.partial or []
-        truncated = True
-        print(f"nsgbounds: {exc}", file=sys.stderr)
-    except NsgError as exc:  # such as a pool this platform cannot start
+        ref_text = None if args.reference is None else _read_reference(args.kind, args.reference)
+        out = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
         print(f"nsgbounds: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    text = _render_table(args.kind, rows, q_list, args.format, truncated=truncated)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except ValueError as exc:  # a reference that does not parse
+        print(f"nsgbounds: reference {args.reference}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    truncated = False
+    with out as fh:
+        try:
+            if args.kind == "lgm":
+                rows = build_lgm_table(args.genus, q_list, workers=workers,
+                                       node_budget=args.node_budget,
+                                       selfcheck_seed=args.seed if args.selfcheck else None)
+            else:
+                rows = build_gmgen_table(args.genus, workers=workers,
+                                         node_budget=args.node_budget)
+        except ResourceLimit as exc:
+            rows = exc.partial or []
+            truncated = True
+            print(f"nsgbounds: {exc}", file=sys.stderr)
+        except NsgError as exc:  # such as a pool this platform cannot start
+            print(f"nsgbounds: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        fh.write(_render_table(args.kind, rows, q_list, args.format, truncated=truncated))
     if truncated:
         return EXIT_RESOURCE
 
-    if args.reference is not None:
-        if args.reference == "auto":
-            ref_text = load_reference(args.kind)
-        else:
-            with open(args.reference, "r", encoding="utf-8") as fh:
-                ref_text = fh.read()
+    if ref_text is not None:
         computed_csv = _renderer(args.kind, "csv", q_list)(rows)
         compared, deviations = compare_tables(computed_csv, ref_text)
         for genus, col, got, want in deviations:
@@ -288,7 +295,7 @@ def _cmd_table(args, parser) -> int:
             return EXIT_MISMATCH
         print(f"reference match: {compared} cells within one ulp", file=sys.stderr)
 
-    if selfcheck:
+    if args.selfcheck:
         for row in rows:
             for q, gens in row.mismatches:
                 print(f"SELFCHECK MISMATCH genus={row.genus} q={q} gens={list(gens)}",

@@ -145,9 +145,9 @@ def from_generators(gens) -> NumericalSemigroup:
     so the window holds the conductor and a run of g >= lo members above
     it.  When no entry is coprime to lo, the first window is
     ``(lo-1)*(hi-1) + hi`` with hi the largest entry, which Schur's bound
-    F <= (lo-1)*(hi-1) - 1 makes large enough too.  Either way a run of lo
-    members above the last gap certifies the conductor, and the window
-    doubles if there is none.
+    F <= (lo-1)*(hi-1) - 1 makes large enough too.  So one closure always
+    suffices; the run of lo members above the last gap that certifies the
+    conductor is asserted.
 
     Raises EmptyInput for an empty set, TypeError for an entry that is
     not an integer (floats, Fractions and strings are rejected, not
@@ -168,16 +168,11 @@ def from_generators(gens) -> NumericalSemigroup:
         if math.gcd(lo, g) == 1:
             break
     window = (lo - 1) * (g - 1) + g
-    while True:
-        bits = _closure(gens, window)
-        gap_mask = ~bits & ((1 << window) - 1)
-        conductor = gap_mask.bit_length()
-        # A run of `lo` consecutive members certifies that everything at
-        # and above the run is a member; otherwise the window was too
-        # small, which the bounds above rule out for the first window.
-        if window - conductor >= lo:
-            break
-        window *= 2
+    bits = _closure(gens, window)
+    conductor = (~bits & ((1 << window) - 1)).bit_length()
+    # Either bound above is F <= (lo-1)*(g-1) - 1, so the window ends with
+    # g >= lo members: a run of lo members certifies everything above it.
+    assert window - conductor >= lo, "closure window below the Frobenius bound"
 
     member_bitmap = bits & ((1 << conductor) - 1)
     genus = conductor - member_bitmap.bit_count()

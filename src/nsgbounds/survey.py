@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from typing import NamedTuple
 
 from .bounds import coincidence_criterion, gm_generic
 from .enumeration import (
@@ -31,7 +30,6 @@ from .enumeration import (
 from .errors import ResourceLimit
 
 __all__ = [
-    "Portion",
     "LgmTableRow",
     "GmGenTableRow",
     "render_percent",
@@ -73,22 +71,12 @@ def format_percent_cell(num: int, den: int) -> str:
     return "100" if num == den else render_percent(num, den)
 
 
-class Portion(NamedTuple):
-    num: int
-    den: int
-    percent: str
-
-
-def _portion(num: int, den: int) -> Portion:
-    return Portion(num, den, render_percent(num, den))
-
-
 @dataclass(frozen=True)
 class LgmTableRow:
     genus: int
     population: int
-    per_q_coincide: dict[int, Portion]
-    per_q_sufficient: dict[int, Portion]
+    per_q_coincide: dict[int, int]  # q -> semigroups counted, out of population
+    per_q_sufficient: dict[int, int]
     checked: int  # semigroups the selfcheck sampled (0 without a selfcheck)
     mismatches: tuple  # (q, generators) where the selfcheck disagreed
 
@@ -114,14 +102,6 @@ class GmGenTableRow:
         return self.gm_gen_total + self.non_gm_gen_total
 
     @property
-    def portion_gm_total(self) -> str:
-        return render_percent(self.gm_gen_total, self.gen_total)
-
-    @property
-    def portion_non_gm_total(self) -> str:
-        return render_percent(self.non_gm_gen_total, self.gen_total)
-
-    @property
     def mean_portion_non_gm(self) -> Fraction:
         return self.portion_non_sum / self.population
 
@@ -129,6 +109,10 @@ class GmGenTableRow:
     def mean_portion_non_gm_percent(self) -> str:
         f = self.mean_portion_non_gm
         return render_fixed2(100 * f.numerator, f.denominator)
+
+
+# The selfcheck's (checked, mismatches) slots of a leaf it did not sample.
+_UNCHECKED = (0, ())
 
 
 def _lgm_leaf(q_list, leaf):
@@ -139,12 +123,13 @@ def _lgm_leaf(q_list, leaf):
     number F, so only the generators l1 < l_i <= l1 + F//q are read: the
     set bits of gens_mask >> l1 + 1 below F//q.  q <= floor(q/l1)*l2
     writes every q*(l_i - l1) as l1*(floor(q/l1)*l_i - q) +
-    (q mod l1)*l_i, so it settles q at once.
+    (q mod l1)*l_i, so it settles q at once.  The value ends with the
+    selfcheck's slots, left at ``_UNCHECKED`` (see ``_lgm_checked_leaf``).
     """
     bits, frobenius, _, gens, l1, _ = leaf
     above = gens >> l1 + 1
     if not above:  # the full semigroup <1>: no l2, and no generator to scan
-        return (1,) + (1,) * len(q_list) + (0,) * len(q_list)
+        return (1,) + (1,) * len(q_list) + (0,) * len(q_list) + _UNCHECKED
     l2 = l1 + (above & -above).bit_length()
     out = [1]
     sufficient = []
@@ -164,6 +149,7 @@ def _lgm_leaf(q_list, leaf):
             scan ^= low
         out.append(flag)
     out += sufficient
+    out += _UNCHECKED
     return tuple(out)
 
 
@@ -184,7 +170,7 @@ def _sample_rule(seed: int, sample_rate: float) -> tuple[int, int, int]:
 
 
 def _lgm_checked_leaf(q_list, rule, leaf):
-    """``_lgm_leaf`` followed by (checked, mismatches) of the selfcheck.
+    """``_lgm_leaf``, its slots (checked, mismatches) filled in if the leaf is sampled.
 
     A sampled leaf compares the generator criterion with the full
     set-difference bound against Lewittes' q*l1 + 1 for every q, and
@@ -193,11 +179,11 @@ def _lgm_checked_leaf(q_list, rule, leaf):
     bits, frobenius = leaf[0], leaf[1]
     a, b, cut = rule
     if (a * (bits & ((1 << frobenius + 1) - 1)) + b) % _SAMPLE_PRIME >= cut:
-        return _lgm_leaf(q_list, leaf) + (0, ())
+        return _lgm_leaf(q_list, leaf)
     S = _semigroup(leaf)
     mismatches = tuple((q, S.min_generators) for q in q_list if coincidence_criterion(S, q)
                        != (gm_generic(S, q) == q * S.multiplicity + 1))
-    return _lgm_leaf(q_list, leaf) + (1, mismatches)
+    return _lgm_leaf(q_list, leaf)[:-2] + (1, mismatches)
 
 
 def _gmgen_leaf(lcm, leaf):
@@ -243,23 +229,23 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
         raise ValueError("q_list must not be empty")
     if min(q_list) < 1:
         raise ValueError("field size parameter q must be positive")
+    if len(set(q_list)) < len(q_list):
+        raise ValueError("q values must be distinct")
     if selfcheck_seed is not None and selfcheck_seed < 0:
         # random.Random seeds by absolute value, so -s would draw the sample of s
         raise ValueError("selfcheck_seed must be non-negative")
     k = len(q_list)
     if selfcheck_seed is None:
-        leaf, zero = partial(_lgm_leaf, q_list), (0,) * (1 + 2 * k)
+        leaf = partial(_lgm_leaf, q_list)
     else:
         leaf = partial(_lgm_checked_leaf, q_list, _sample_rule(selfcheck_seed, sample_rate))
-        zero = (0,) * (2 + 2 * k) + ((),)
 
     def make_row(g, acc):
-        population = acc[0]
-        coincide = {q: _portion(acc[1 + i], population) for i, q in enumerate(q_list)}
-        sufficient = {q: _portion(acc[1 + k + i], population) for i, q in enumerate(q_list)}
-        checked, mismatches = acc[1 + 2 * k:] or (0, ())
-        return LgmTableRow(g, population, coincide, sufficient, checked, mismatches)
+        checked, mismatches = acc[1 + 2 * k:]
+        return LgmTableRow(g, acc[0], dict(zip(q_list, acc[1:1 + k])),
+                           dict(zip(q_list, acc[1 + k:1 + 2 * k])), checked, mismatches)
 
+    zero = (0,) * (1 + 2 * k) + _UNCHECKED
     return _build_rows(genus_range, leaf, zero, make_row, workers, node_budget)
 
 
@@ -288,11 +274,8 @@ def _lgm_header(q_list) -> list[str]:
 
 
 def _lgm_cells(row: LgmTableRow, q_list) -> list[str]:
-    return ([str(row.genus)]
-            + [format_percent_cell(row.per_q_coincide[q].num, row.per_q_coincide[q].den)
-               for q in q_list]
-            + [format_percent_cell(row.per_q_sufficient[q].num, row.per_q_sufficient[q].den)
-               for q in q_list])
+    counts = [row.per_q_coincide[q] for q in q_list] + [row.per_q_sufficient[q] for q in q_list]
+    return [str(row.genus)] + [format_percent_cell(c, row.population) for c in counts]
 
 
 GMGEN_HEADER = ["genus", "mean GM generators", "mean non-GM generators",
@@ -337,6 +320,10 @@ def gmgen_text(rows) -> str:
     return _text_table(GMGEN_HEADER, [_gmgen_cells(r) for r in rows])
 
 
+def _count_json(count: int, total: int) -> dict:
+    return {"count": count, "total": total, "percent": format_percent_cell(count, total)}
+
+
 def lgm_json(rows, q_list) -> dict:
     return {
         "table": "lgm",
@@ -345,12 +332,10 @@ def lgm_json(rows, q_list) -> dict:
             {
                 "genus": r.genus,
                 "population": r.population,
-                "coincide": {str(q): {"count": p.num, "total": p.den,
-                                      "percent": format_percent_cell(p.num, p.den)}
-                             for q, p in r.per_q_coincide.items()},
-                "sufficient": {str(q): {"count": p.num, "total": p.den,
-                                        "percent": format_percent_cell(p.num, p.den)}
-                               for q, p in r.per_q_sufficient.items()},
+                "coincide": {str(q): _count_json(c, r.population)
+                             for q, c in r.per_q_coincide.items()},
+                "sufficient": {str(q): _count_json(c, r.population)
+                               for q, c in r.per_q_sufficient.items()},
             }
             for r in rows
         ],
@@ -393,12 +378,19 @@ def _scaled100(cell: str) -> int:
 
 
 def _parse_table_csv(text: str):
+    """(header, {genus: {column: (cell, cell scaled by 100)}}); ValueError if malformed."""
     lines = [ln for ln in text.strip().split("\n") if ln]
+    if not lines:
+        raise ValueError("the table is empty")
     header = lines[0].split(",")
     by_genus = {}
     for ln in lines[1:]:
         cells = ln.split(",")
-        by_genus[int(cells[0])] = dict(zip(header[1:], cells[1:]))
+        try:
+            by_genus[int(cells[0])] = {col: (cell, _scaled100(cell))
+                                       for col, cell in zip(header[1:], cells[1:])}
+        except ValueError:
+            raise ValueError(f"row {ln!r} is not a genus followed by numbers") from None
     return header, by_genus
 
 
@@ -418,8 +410,8 @@ def compare_tables(computed_csv: str, reference_csv: str):
             if col not in want[genus]:
                 continue
             compared += 1
-            a, b = got[genus][col], want[genus][col]
-            if abs(_scaled100(a) - _scaled100(b)) > 1:
+            (a, a100), (b, b100) = got[genus][col], want[genus][col]
+            if abs(a100 - b100) > 1:
                 deviations.append((genus, col, a, b))
     return compared, deviations
 

@@ -145,11 +145,9 @@ def test_criterion_5_coincidence_table_parity():
     rows = build_lgm_table(range(2, 11), q_list)
     for row in rows:
         for q in q_list:
-            got = format_percent_cell(row.per_q_coincide[q].num,
-                                      row.per_q_coincide[q].den)
+            got = format_percent_cell(row.per_q_coincide[q], row.population)
             assert got == EXPECTED_COINCIDE[row.genus][q], (row.genus, q, got)
-            got = format_percent_cell(row.per_q_sufficient[q].num,
-                                      row.per_q_sufficient[q].den)
+            got = format_percent_cell(row.per_q_sufficient[q], row.population)
             assert got == EXPECTED_SUFFICIENT[row.genus][q], (row.genus, q, got)
     _report(5, "coincidence/sufficient percentages match cell-for-cell, genus 2..10",
             t0, 120.0)

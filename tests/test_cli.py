@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nsgbounds import build_gmgen_table, build_lgm_table, survey
+from nsgbounds import build_gmgen_table, build_lgm_table, cli, survey
 from nsgbounds.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -127,6 +127,50 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-negative integer" in captured.err
+
+    @pytest.mark.parametrize("argv", [["table", "lgm", "--q", "2,3,2"],
+                                      ["verify", "--q-list", "9,9"]])
+    def test_duplicate_q_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q values must be distinct" in captured.err
+
+    def test_selfcheck_is_for_lgm_only(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "gmgens", "--genus", "2..4", "--selfcheck"])
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--selfcheck applies to the lgm table only" in captured.err
+
+    @pytest.mark.parametrize("reference", [None, "", "genus,x\nx,50.00\n",
+                                           "genus,x\n2,half\n"])
+    def test_bad_reference_fails_before_the_walk(self, capsys, monkeypatch, tmp_path,
+                                                  reference):
+        path = tmp_path / "ref.csv"  # None: the file does not exist
+        if reference is not None:
+            path.write_text(reference)
+        monkeypatch.setattr(cli, "build_lgm_table", self._no_walk)
+        code, out, err = run_cli(capsys, "table", "lgm", "--genus", "2..4",
+                                 "--reference", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("nsgbounds: ") and err.count("\n") == 1
+
+    def test_bad_out_fails_before_the_walk(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "missing" / "t.csv"
+        monkeypatch.setattr(cli, "build_gmgen_table", self._no_walk)
+        code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "2..4",
+                                 "--out", str(target))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("nsgbounds: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    @staticmethod
+    def _no_walk(*args, **kwargs):
+        raise AssertionError("no table may be built")
 
     def test_no_fork_is_a_clear_error(self, capsys, monkeypatch):
         def no_context(*args):

@@ -24,8 +24,10 @@ from nsgbounds.survey import (
     format_percent_cell,
     gmgen_csv,
     gmgen_json,
+    gmgen_text,
     lgm_csv,
     lgm_json,
+    lgm_text,
     load_reference,
     _gmgen_leaf,
     _lgm_leaf,
@@ -62,21 +64,18 @@ class TestLgmTable:
     def test_small_rows(self):
         rows = build_lgm_table(range(2, 5), (2, 3))
         by_genus = {r.genus: r for r in rows}
-        assert by_genus[2].population == 2
-        assert by_genus[2].per_q_coincide[2] == (1, 2, "50.00")
-        assert by_genus[2].per_q_coincide[3] == (2, 2, "100.00")
-        assert by_genus[3].per_q_coincide[2] == (1, 4, "25.00")
-        assert by_genus[3].per_q_sufficient[3] == (3, 4, "75.00")
-        assert by_genus[4].per_q_coincide[2] == (3, 7, "42.86")
-        assert by_genus[4].per_q_sufficient[2] == (1, 7, "14.29")
+        assert [by_genus[g].population for g in (2, 3, 4)] == [2, 4, 7]
+        assert by_genus[2].per_q_coincide == {2: 1, 3: 2}
+        assert by_genus[3].per_q_coincide[2] == 1
+        assert by_genus[3].per_q_sufficient[3] == 3
+        assert by_genus[4].per_q_coincide[2] == 3
+        assert by_genus[4].per_q_sufficient[2] == 1
 
     def test_sufficient_never_exceeds_coincide(self):
         rows = build_lgm_table(range(1, 9), (2, 3, 9, 16))
         for row in rows:
             for q in (2, 3, 9, 16):
-                assert row.per_q_sufficient[q].num <= row.per_q_coincide[q].num
-                assert row.per_q_sufficient[q].den == row.per_q_coincide[q].den \
-                    == row.population
+                assert row.per_q_sufficient[q] <= row.per_q_coincide[q] <= row.population
 
     def test_csv_golden(self):
         rows = build_lgm_table(range(2, 5), (2, 3))
@@ -109,6 +108,10 @@ class TestLgmTable:
         with pytest.raises(ValueError, match="positive"):
             build_lgm_table(range(2, 3), (2, 0))
 
+    def test_duplicate_q_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            build_lgm_table(range(2, 3), (2, 3, 2))
+
 
 class TestGmGenTable:
     def test_genus_two_row(self):
@@ -116,8 +119,8 @@ class TestGmGenTable:
         assert (row.gm_gen_total, row.non_gm_gen_total, row.population) == (3, 2, 2)
         assert row.mean_gm_gens == "1.50"
         assert row.mean_non_gm_gens == "1.00"
-        assert row.portion_gm_total == "60.00"
-        assert row.portion_non_gm_total == "40.00"
+        assert format_percent_cell(row.gm_gen_total, row.gen_total) == "60.00"
+        assert format_percent_cell(row.non_gm_gen_total, row.gen_total) == "40.00"
         assert row.mean_portion_non_gm == Fraction(5, 12)
         assert row.mean_portion_non_gm_percent == "41.67"
 
@@ -182,6 +185,39 @@ class TestSharedPool:
                 except ResourceLimit as exc:
                     outcomes.append(("partial", exc.partial))
             assert outcomes[0] == outcomes[1], budget
+
+
+def _body_cells(csv_text, text_text):
+    """The value rows of a table's CSV, checked equal to its text rendering."""
+    csv_rows = [ln.split(",") for ln in csv_text.splitlines()[1:]]
+    assert [ln.split() for ln in text_text.splitlines()[1:]] == csv_rows
+    return csv_rows
+
+
+class TestOneRenderingPerNumber:
+    """CSV, text and JSON print every number the same way."""
+
+    Q = (2, 3, 9, 16, 256)
+
+    def test_lgm(self):
+        rows = build_lgm_table(range(11), self.Q)
+        csv_rows = _body_cells(lgm_csv(rows, self.Q), lgm_text(rows, self.Q))
+        assert any("100" in cells for cells in csv_rows)
+        for cells, row in zip(csv_rows, lgm_json(rows, self.Q)["rows"], strict=True):
+            counts = [row[kind][str(q)] for kind in ("coincide", "sufficient") for q in self.Q]
+            assert [str(row["genus"])] + [c["percent"] for c in counts] == cells
+            assert [format_percent_cell(c["count"], c["total"]) for c in counts] == cells[1:]
+
+    def test_gmgens(self):
+        rows = build_gmgen_table(range(11))
+        csv_rows = _body_cells(gmgen_csv(rows), gmgen_text(rows))
+        assert any("100" in cells for cells in csv_rows)
+        for cells, row in zip(csv_rows, gmgen_json(rows)["rows"], strict=True):
+            assert [str(row["genus"]), row["mean_gm"], row["mean_non_gm"], row["portion_gm"],
+                    row["portion_non_gm"], row["mean_portion_non_gm"]["percent"]] == cells
+            total = row["gm_generators"] + row["non_gm_generators"]
+            assert [format_percent_cell(row["gm_generators"], total),
+                    format_percent_cell(row["non_gm_generators"], total)] == cells[3:5]
 
 
 class TestReference:
@@ -279,7 +315,7 @@ class TestLeafKernels:
                 coincide = [int(coincidence_criterion(S, q)) for q in self.Q]
                 sufficient = [int(len(gens) > 1 and sufficient_condition(S, q))
                               for q in self.Q]
-                assert _lgm_leaf(self.Q, leaf) == (1, *coincide, *sufficient)
+                assert _lgm_leaf(self.Q, leaf) == (1, *coincide, *sufficient, 0, ())
                 cls = classify_generators(S, 2)
                 n_gm, n_non = len(cls.gm_generators), len(cls.non_gm_generators)
                 assert _gmgen_leaf(lcm, leaf) == (1, n_gm, n_non, n_non * (lcm // len(gens)))
