@@ -308,6 +308,8 @@ def bound_report(S: NumericalSemigroup, q: int, method: str = "auto",
 
     if method == "auto":
         method = "closed" if len(gens) == 2 else "generic"
+    # the full scan, run once when the generic path or ``check`` needs it
+    full = gm_generic(S, q) if check or (method == "generic" and not criterion) else None
     if method == "closed":
         gm = gm_two_gen_closed(_two_gen_view(S), q)
         gm_method = GmMethod.TWO_GEN_CLOSED
@@ -315,12 +317,10 @@ def bound_report(S: NumericalSemigroup, q: int, method: str = "auto",
         gm = gm_two_gen_sum(_two_gen_view(S), q)
         gm_method = GmMethod.TWO_GEN_SUM
     else:
-        gm = lew if criterion else gm_generic(S, q)
+        gm = lew if criterion else full
         gm_method = GmMethod.GENERIC_SET_DIFFERENCE
-    if check:
-        full = gm_generic(S, q)
-        if gm != full:
-            raise AssertionError(f"set-difference re-verification failed: {gm} != {full}")
+    if check and gm != full:
+        raise AssertionError(f"set-difference re-verification failed: {gm} != {full}")
 
     assert gm <= lew, "set-difference bound exceeded the multiplicity bound"
     try:

@@ -37,6 +37,8 @@ EXIT_MISMATCH = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 
+TABLE_Q = (2, 3, 9, 16, 256)  # the lgm table's q values without --q
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -75,8 +77,9 @@ def _parse_int(text: str, minimum: int) -> int:
             return value
     except ValueError:
         pass
-    kind = "positive" if minimum == 1 else "non-negative"
-    raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+    kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+        minimum, f"an integer of at least {minimum}")
+    raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
 
 
 def _parse_genus_range(text: str) -> range:
@@ -106,15 +109,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="all bounds for one (semigroup, q) pair")
     p.add_argument("--gens", type=_parse_gens, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=partial(_parse_int, minimum=1), required=True)
     p.add_argument("--method", choices=("auto", "generic", "sum", "closed"), default="auto")
     p.add_argument("--check", action="store_true",
                    help="re-verify the set-difference bound by full scan")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify", help="differential sweep of the three bound computations")
-    p.add_argument("--a-max", type=int, default=30)
-    p.add_argument("--b-max", type=int, default=60)
+    # the smallest sweep holds one pair, (2, 3)
+    p.add_argument("--a-max", type=partial(_parse_int, minimum=2), default=30)
+    p.add_argument("--b-max", type=partial(_parse_int, minimum=3), default=60)
     p.add_argument("--q-list", type=_parse_q_list,
                    default=DEFAULT_Q_SWEEP, help="comma-separated q values")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
@@ -123,16 +127,16 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=("lgm", "gmgens"))
     p.add_argument("--genus", type=_parse_genus_range, default=range(2, 19),
                    help="inclusive range A..B (default 2..18)")
-    p.add_argument("--q", type=_parse_q_list, default=(2, 3, 9, 16, 256),
-                   help="q values for the lgm table")
+    p.add_argument("--q", type=_parse_q_list, default=None,
+                   help=f"q values for the lgm table (default {','.join(map(str, TABLE_Q))})")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.add_argument("--workers", type=partial(_parse_int, minimum=1), default=None,
                    help="parallel workers (default: NSG_WORKERS or 1)")
     p.add_argument("--node-budget", type=partial(_parse_int, minimum=1),
                    default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--seed", type=partial(_parse_int, minimum=0), default=0,
-                   help="seed for --selfcheck sampling (a non-negative integer)")
+    p.add_argument("--seed", type=partial(_parse_int, minimum=0), default=None,
+                   help="seed for --selfcheck sampling (a non-negative integer, default 0)")
     p.add_argument("--selfcheck", action="store_true",
                    help="re-verify sampled coincidence flags by full scans")
     p.add_argument("--reference", default=None, metavar="PATH|auto",
@@ -253,7 +257,11 @@ def _cmd_table(args, parser) -> int:
             parser.error(f"NSG_WORKERS: {exc}")
     if args.selfcheck and args.kind != "lgm":
         parser.error("--selfcheck applies to the lgm table only")
-    q_list = tuple(args.q)
+    if args.q is not None and args.kind != "lgm":
+        parser.error("--q applies to the lgm table only")
+    if args.seed is not None and not args.selfcheck:
+        parser.error("--seed applies with --selfcheck only")
+    q_list = TABLE_Q if args.q is None else args.q
     try:
         ref_text = None if args.reference is None else _read_reference(args.kind, args.reference)
         out = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
@@ -270,7 +278,8 @@ def _cmd_table(args, parser) -> int:
             if args.kind == "lgm":
                 rows = build_lgm_table(args.genus, q_list, workers=workers,
                                        node_budget=args.node_budget,
-                                       selfcheck_seed=args.seed if args.selfcheck else None)
+                                       selfcheck_seed=(args.seed or 0) if args.selfcheck
+                                       else None)
             else:
                 rows = build_gmgen_table(args.genus, workers=workers,
                                          node_budget=args.node_budget)

@@ -19,14 +19,21 @@ W = mirror.bit_length().  The public :class:`TreeNode` is a named tuple
 (bits, frobenius, genus, min_generators, multiplicity) with the
 generators as a tuple, converted at the API boundary.
 
-``_walk`` is the one traversal.  It hands each raw leaf tuple to a
-single callback and returns the number of nodes it touched at each
-genus, so counting reads its return value, enumeration reads its last
-entry, and ``map_reduce_genus`` folds the leaves of subtrees.  The last
-level is fused into its parent: a node one genus above the target hands
-its children straight to the callback and never pushes them, and a walk
-without a callback only counts its effective generators.  A fold tallies
-identical leaf values and merges each distinct value once per fold.
+``_walk`` is the one traversal.  It returns the number of nodes it
+touched at each genus, so counting reads its return value, enumeration
+reads its last entry, and ``map_reduce_genus`` folds the leaves of
+subtrees.  The last level is fused into its parent: a node one genus
+above the target counts its children, its effective generators, with
+one ``bit_count`` and never pushes them.  A walk without a callback
+stops there.  Otherwise a per-parent kernel evaluates the children: it
+returns (value, count) pairs for all of them at once, and a table
+kernel reads most values off the parent without building a child,
+since a child differs from its parent by one removed generator lam
+(see ``survey._lgm_kernel``).  A leaf function without a kernel gets
+the per-leaf adapter ``_per_leaf``, which expands the parent and hands
+each child over, so there is still one traversal and one fold path.
+A fold tallies identical leaf values and merges each distinct value
+once per fold.
 
 Every fold splits the tree along the spine of ordinary semigroups
 O_h = <h+1, ..., 2h+1>.  Every generator of O_h exceeds its Frobenius
@@ -66,6 +73,7 @@ import contextlib
 import multiprocessing
 import operator
 import pickle
+from functools import partial
 from typing import NamedTuple
 
 from .errors import NsgError, ResourceLimit
@@ -165,6 +173,28 @@ def _expand(node: tuple) -> list[tuple]:
     return out
 
 
+def _new_generators(node: tuple, mask: int) -> int:
+    """The set bits lam of ``mask`` whose child gains the generator lam + m.
+
+    ``mask`` holds effective generators of the raw ``node`` other than its
+    multiplicity m; this is the one AND of ``_expand`` per bit.
+    """
+    bits, _, _, _, m, mirror = node
+    top = mirror.bit_length() - 1 - m
+    new = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        if not bits & (low - (2 << m)) & (mirror >> top - low.bit_length() + 1):
+            new |= low
+    return new
+
+
+def _per_leaf(leaf_fn, parent: tuple) -> list:
+    """The kernel of a leaf function: (leaf_fn(child), 1) per child, in order."""
+    return [(leaf_fn(kid), 1) for kid in _expand(parent)]
+
+
 def children(node: TreeNode) -> list[TreeNode]:
     """Child semigroups, in increasing removed-generator order.
 
@@ -179,7 +209,7 @@ def children(node: TreeNode) -> list[TreeNode]:
 
 
 def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
-          tally=None) -> list[int]:
+          tally=None, kernel=None) -> list[int]:
     """Depth-first walk from the raw node ``start`` down to ``target_genus``.
 
     ``leaf_fn`` (when given) receives each node at the target genus as a
@@ -191,17 +221,32 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
     for h in 0..target_genus.
 
     The last level is fused into its parent: a node at genus
-    ``target_genus - 1`` counts its children together with itself and
-    hands them straight to ``leaf_fn``, never pushing them; without a
-    ``leaf_fn`` it counts its effective generators and builds no child.
-    Raises ResourceLimit as soon as the node count would exceed
-    ``budget``, before the leaves of the parent that crosses it are
-    handed over, so it raises exactly when the walk needs more than
+    ``target_genus - 1`` counts its children, its effective generators,
+    with one ``bit_count`` and never pushes them.  A ``kernel`` (when
+    given) then evaluates them all at once: ``kernel(parent)`` returns
+    (value, count) pairs that count each child once under its
+    ``leaf_fn`` value (see ``map_reduce_genus``).  Without one, the walk
+    uses ``_per_leaf``, which hands each child to ``leaf_fn``; without
+    either, it builds no child.  The kernel is not called for a parent
+    without children.  Raises ResourceLimit as soon as the node count
+    would exceed ``budget``, before the leaves of the parent that crosses
+    it are evaluated, so it raises exactly when the walk needs more than
     ``budget`` nodes.
     """
     sizes = [0] * (target_genus + 1)
+    if budget < 1:
+        raise ResourceLimit(f"node budget of {budget} exceeded")
+    if start[2] == target_genus:  # ``start`` is the only leaf
+        sizes[target_genus] = 1
+        if leaf_fn is not None:
+            value = leaf_fn(start)
+            if tally is not None:
+                tally[value] = tally.get(value, 0) + 1
+        return sizes
+    if kernel is None and leaf_fn is not None:
+        kernel = partial(_per_leaf, leaf_fn)
+    get = None if tally is None else tally.get
     last = target_genus - 1
-    count = None if tally is None else tally.get
     nodes = 0
     stack = [start]
     while stack:
@@ -209,28 +254,20 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
         nodes += 1
         genus = node[2]
         sizes[genus] += 1
-        leaves = ()
         if genus < last:
             stack.extend(reversed(_expand(node)))
-        elif genus > last:  # ``start`` itself lies at the target genus
-            leaves = (node,)
-        elif leaf_fn is None:
+            kids = 0
+        else:
             kids = (node[3] >> node[1] + 1).bit_count()
             nodes += kids
             sizes[target_genus] += kids
-        else:
-            leaves = _expand(node)
-            nodes += len(leaves)
-            sizes[target_genus] += len(leaves)
         if nodes > budget:
             raise ResourceLimit(f"node budget of {budget} exceeded")
-        if count is not None:
-            for leaf in leaves:
-                value = leaf_fn(leaf)
-                tally[value] = count(value, 0) + 1
-        elif leaf_fn is not None:
-            for leaf in leaves:
-                leaf_fn(leaf)
+        if kids and kernel is not None:
+            pairs = kernel(node)
+            if get is not None:
+                for value, count in pairs:
+                    tally[value] = get(value, 0) + count
     return sizes
 
 
@@ -273,10 +310,10 @@ def _add_times(add_fn, acc, value, count: int):
 
 def _fold_subtree(args, tally=None):
     """Walk one unit; returns (tally, nodes walked), counting into ``tally`` if given."""
-    node, target, map_fn, budget = args
+    node, target, map_fn, kernel, budget = args
     if tally is None:
         tally = {}
-    return tally, sum(_walk(node, target, budget, map_fn, tally))
+    return tally, sum(_walk(node, target, budget, map_fn, tally, kernel))
 
 
 def _spine_split(g: int) -> tuple[int, list[tuple]]:
@@ -331,7 +368,7 @@ def worker_pool(workers: int):
 
 
 def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
-                     node_budget: int = DEFAULT_NODE_BUDGET, pool=None):
+                     node_budget: int = DEFAULT_NODE_BUDGET, pool=None, kernel=None):
     """Fold ``map_fn`` over every semigroup of genus ``g``.
 
     ``map_fn`` receives each semigroup as the raw leaf tuple of the walk
@@ -342,6 +379,17 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     8): bit W - 1 - x is set iff x is a member, and
     W = mirror.bit_length().  ``semigroup.bit_indices(gens_mask)`` lists
     the generators.
+
+    ``kernel`` (when given) evaluates the leaves a parent at a time: it
+    receives each raw node of genus g - 1 that has children and returns
+    (value, count) pairs, with the counts summing to its number of
+    children and each child's ``map_fn`` value counted once.  Pairs whose
+    values a concatenating slot of ``add_fn`` would order come in the
+    children's order, increasing removed generator.  ``map_fn`` still
+    evaluates a leaf without a parent in the walk, the root at genus 0.
+    Without a kernel each child is built and handed to ``map_fn``
+    (``_per_leaf``).  The walk counts a parent's children before it calls
+    the kernel, so the budget stays exact.
 
     The leaves are tallied by value, and each distinct value is merged
     into ``zero`` once, as ``count`` copies built by doubling with
@@ -362,26 +410,27 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     budget is crossed; with a pool, only once the units already sent have
     finished.
 
-    With a pool, ``map_fn`` must be picklable (a module-level function,
-    not a lambda or nested function), since it is sent to the workers;
-    NsgError is raised otherwise, before any unit is sent.  ``add_fn``
-    and ``zero`` stay in this process and may be anything.
+    With a pool, ``map_fn`` and ``kernel`` must be picklable (module-level
+    functions or partials of them, not lambdas or nested functions),
+    since they are sent to the workers; NsgError is raised otherwise,
+    before any unit is sent.  ``add_fn`` and ``zero`` stay in this
+    process and may be anything.
 
     Returns (aggregate, nodes_walked).
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
     spine, units = _spine_split(g)
-    tasks = [(u, g, map_fn, node_budget - spine) for u in units]
+    tasks = [(u, g, map_fn, kernel, node_budget - spine) for u in units]
     tally = {}
     if pool is None:  # every unit counts straight into ``tally``
         parts = (_fold_subtree(task, tally) for task in tasks)
     else:
         try:
-            pickle.dumps(map_fn)
+            pickle.dumps((map_fn, kernel))
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise NsgError(f"a pooled fold needs a picklable map_fn, such as a "
-                           f"module-level function: {exc}") from None
+            raise NsgError(f"a pooled fold needs a picklable map_fn and kernel, such "
+                           f"as module-level functions: {exc}") from None
         # Pool.map's own chunk rule: about four chunks per worker
         chunksize = -(-len(tasks) // (4 * len(pool._pool)))
         parts = pool.imap(_fold_subtree, tasks, chunksize=chunksize)

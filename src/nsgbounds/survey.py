@@ -22,6 +22,8 @@ from importlib import resources
 from .bounds import coincidence_criterion, gm_generic
 from .enumeration import (
     DEFAULT_NODE_BUDGET,
+    _expand,
+    _new_generators,
     _semigroup,
     enumerate_genus,  # noqa: F401  perfbench hooks survey.enumerate_genus
     map_reduce_genus,
@@ -186,6 +188,122 @@ def _lgm_checked_leaf(q_list, rule, leaf):
     return _lgm_leaf(q_list, leaf)[:-2] + (1, mismatches)
 
 
+# Per-process memo of ``_lgm_kernel``, one dict per q_list: the sufficient
+# flags per (l1, l2), and the value tuple per set of coincidence and
+# sufficient flags.  It lives here and not in the kernel's partial, which
+# a pooled fold pickles with every task.
+_LGM_MEMO = {}
+
+
+def _lgm_kernel(q_list, rule, parent):
+    """The lgm leaf of every child of a raw parent, as (value, count) pairs.
+
+    The leaf is ``_lgm_checked_leaf`` with a sample ``rule``, else
+    ``_lgm_leaf``.  It is evaluated on a built child only for the child
+    that removes the multiplicity m (of an ordinary parent), the child
+    that removes l2, and the sampled children, in increasing removed
+    generator lam, so the selfcheck's mismatches keep the leaf order.
+    Every other child removes some lam > l2, so it keeps l1 = m, l2 and
+    the parent's sufficient flags.  Where those do not settle q, it
+    coincides unless a generator l of the child has q*(l - m) <= lam
+    outside the child.  Its generators are the parent's but lam, and
+    lam + m when that is new.  For a parent generator l other than lam,
+    q*(l - m) misses iff it is a gap of the parent, so at most the
+    parent's Frobenius number F, or equals lam.  So per q one scan of the
+    parent's generators settles every child: two "offenders" l with
+    q*(l - m) <= F a gap fail every child, one fails all but the child
+    that removes it, and each q*(l - m) > F fails the child that removes
+    it, unless that child removes l itself.  The children are split by
+    these per-q masks and counted by popcount.  lam + m misses only at
+    q = 1, where every such child fails already: l - m is a gap for each
+    generator l != m (else l = m + (l - m) would not be minimal), so
+    every one is an offender, and with only one, l2, its child is built.
+    """
+    bits, frobenius, _, gens, m, _ = parent
+    effective = gens >> frobenius + 1 << frobenius + 1
+    above = gens >> m + 1
+    l2 = m + (above & -above).bit_length()
+    built = effective & (1 << m | 1 << l2)
+    if rule is not None:
+        # A child's sample hash reads its members below lam + 1: the
+        # parent's members up to F and every x with F < x < lam, so its
+        # bitmap is B_F + 2**lam - 2**(F + 1).
+        a, b, cut = rule
+        base = a * ((bits & (1 << frobenius + 1) - 1) - (1 << frobenius + 1)) + b
+        scan = effective ^ built
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            if (base + a * low) % _SAMPLE_PRIME < cut:
+                built |= low
+    pairs = []
+    if built:  # the child that removes lam has Frobenius number lam
+        for kid in _expand(parent):
+            if built >> kid[1] & 1:
+                pairs.append((_lgm_leaf(q_list, kid) if rule is None
+                              else _lgm_checked_leaf(q_list, rule, kid), 1))
+    rest = effective ^ built
+    if not rest:
+        return pairs
+    memo = _LGM_MEMO.get(q_list)
+    if memo is None:
+        memo = _LGM_MEMO[q_list] = {}
+    plan = memo.get((m, l2))
+    if plan is None:
+        sufficient, open_q = 0, []
+        for i, q in enumerate(q_list):
+            if q <= (q // m) * l2:
+                sufficient |= 1 << i
+            else:
+                open_q.append((1 << i, q))
+        plan = memo[m, l2] = (sufficient, open_q)
+    sufficient, open_q = plan
+    common = sufficient  # flags of the q that every child in ``rest`` coincides at
+    goods = []  # (flag, children in ``rest`` that coincide at its q), for the other q
+    hi = rest.bit_length() - 1
+    for flag, q in open_q:
+        good = rest
+        offender = 0
+        scan = above & ((1 << hi // q) - 1)  # generators l with q*(l - m) <= hi
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            v = q * low.bit_length()  # q*(l - m)
+            if v > frobenius:
+                if v != m + low.bit_length():  # the child that removes l lacks l
+                    good &= ~(1 << v)
+            elif not bits >> v & 1:
+                if offender:
+                    good = 0
+                    break
+                offender = low << m + 1
+        else:
+            if offender:
+                good &= offender
+        if good == rest:
+            common |= flag
+        elif good:
+            goods.append((flag, good))
+    parts = [(rest, common)]
+    for flag, good in goods:
+        split = []
+        for part, flags in parts:
+            if part & good:
+                split.append((part & good, flags | flag))
+            if part & ~good:
+                split.append((part & ~good, flags))
+        parts = split
+    k = len(q_list)
+    for part, flags in parts:
+        key = flags | sufficient << k
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = (1, *[flags >> i & 1 for i in range(k)],
+                                 *[sufficient >> i & 1 for i in range(k)], *_UNCHECKED)
+        pairs.append((value, part.bit_count()))
+    return pairs
+
+
 def _gmgen_leaf(lcm, leaf):
     # the last slot is n_non/n_total scaled by ``lcm``, a multiple of n_total
     gens, m = leaf[3], leaf[4]
@@ -194,7 +312,35 @@ def _gmgen_leaf(lcm, leaf):
     return (1, n_gm, n_total - n_gm, (n_total - n_gm) * (lcm // n_total))
 
 
-def _build_rows(genus_range, map_fn, zero, make_row, workers, node_budget) -> list:
+def _gmgen_kernel(lcm, parent):
+    """``_gmgen_leaf`` of every child of a raw parent, as (value, count) pairs.
+
+    Only the child that removes the multiplicity m (of an ordinary
+    parent) is built.  Every other child keeps m and the parent's
+    generators but lam, and gains lam + m > 2m - 1 when that is new, so
+    its value depends only on whether lam < 2m - 1 and whether lam + m is
+    new: four classes, counted by popcount.
+    """
+    _, frobenius, _, gens, m, _ = parent
+    effective = gens >> frobenius + 1 << frobenius + 1
+    pairs = []
+    if frobenius < m:  # its first child removes m
+        effective ^= 1 << m
+        pairs.append((_gmgen_leaf(lcm, _expand(parent)[0]), 1))
+    new = _new_generators(parent, effective)
+    below = (1 << 2 * m - 1) - 1
+    n_gm = (gens & below).bit_count()
+    n_total = gens.bit_count()
+    for kids, gm in ((effective & below, n_gm - 1), (effective & ~below, n_gm)):
+        for same, total in ((kids & new, n_total), (kids & ~new, n_total - 1)):
+            if same:
+                pairs.append(((1, gm, total - gm, (total - gm) * (lcm // total)),
+                              same.bit_count()))
+    return pairs
+
+
+def _build_rows(genus_range, map_fn, kernel, zero, make_row, workers,
+                node_budget) -> list:
     """``make_row(g, aggregate)`` per genus, all rows sharing one node budget.
 
     With ``workers`` > 1 one process pool serves every row.  On
@@ -204,7 +350,7 @@ def _build_rows(genus_range, map_fn, zero, make_row, workers, node_budget) -> li
         for g in genus_range:
             try:
                 acc, nodes = map_reduce_genus(g, map_fn, zero, node_budget=node_budget,
-                                              pool=pool)
+                                              pool=pool, kernel=kernel)
             except ResourceLimit:
                 raise ResourceLimit(f"node budget exhausted while computing genus {g}",
                                     partial=rows) from None
@@ -236,9 +382,11 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
         raise ValueError("selfcheck_seed must be non-negative")
     k = len(q_list)
     if selfcheck_seed is None:
+        rule = None
         leaf = partial(_lgm_leaf, q_list)
     else:
-        leaf = partial(_lgm_checked_leaf, q_list, _sample_rule(selfcheck_seed, sample_rate))
+        rule = _sample_rule(selfcheck_seed, sample_rate)
+        leaf = partial(_lgm_checked_leaf, q_list, rule)
 
     def make_row(g, acc):
         checked, mismatches = acc[1 + 2 * k:]
@@ -246,7 +394,8 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
                            dict(zip(q_list, acc[1 + k:1 + 2 * k])), checked, mismatches)
 
     zero = (0,) * (1 + 2 * k) + _UNCHECKED
-    return _build_rows(genus_range, leaf, zero, make_row, workers, node_budget)
+    return _build_rows(genus_range, leaf, partial(_lgm_kernel, q_list, rule), zero,
+                       make_row, workers, node_budget)
 
 
 def build_gmgen_table(genus_range, *, workers: int = 1,
@@ -260,8 +409,8 @@ def build_gmgen_table(genus_range, *, workers: int = 1,
     def make_row(g, acc):
         return GmGenTableRow(g, *acc[:3], Fraction(acc[3], lcm))
 
-    return _build_rows(genus_range, partial(_gmgen_leaf, lcm), (0, 0, 0, 0),
-                       make_row, workers, node_budget)
+    return _build_rows(genus_range, partial(_gmgen_leaf, lcm), partial(_gmgen_kernel, lcm),
+                       (0, 0, 0, 0), make_row, workers, node_budget)
 
 
 # ---------------------------------------------------------------------------

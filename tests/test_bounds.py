@@ -25,6 +25,7 @@ from nsgbounds import (
     sufficient_condition,
     verify_index_reduction,
 )
+from nsgbounds import bounds
 from nsgbounds.bounds import differential_sweep
 
 from conftest import oracle_gm_count
@@ -323,6 +324,16 @@ class TestBoundReport:
     def test_check_mode_on_shortcut(self):
         rep = bound_report(S578, 9, method="generic", check=True)
         assert rep.gm == 46
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_one_full_scan_when_the_criterion_fails(self, monkeypatch, check):
+        S = from_generators([4, 5, 11])
+        assert not bounds.coincidence_criterion(S, 2)
+        scans = []
+        full = bounds.gm_generic
+        monkeypatch.setattr(bounds, "gm_generic", lambda S, q: scans.append(q) or full(S, q))
+        assert bound_report(S, 2, method="generic", check=check).gm == full(S, 2)
+        assert scans == [2]
 
 
 class TestDifferentialSweep:

@@ -138,6 +138,26 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "q values must be distinct" in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--gens", "3,5", "--q", "0"], "positive integer"),
+        (["table", "gmgens", "--genus", "2..4", "--q", "7"],
+         "--q applies to the lgm table only"),
+        (["table", "gmgens", "--genus", "2..4", "--seed", "5"],
+         "--seed applies with --selfcheck only"),
+        (["table", "lgm", "--genus", "2..4", "--seed", "5"],
+         "--seed applies with --selfcheck only"),
+        (["verify", "--a-max", "1"], "integer of at least 2"),
+        (["verify", "--b-max", "2"], "integer of at least 3"),
+    ], ids=["bounds-q-0", "gmgens-q", "gmgens-seed", "lgm-seed-alone", "verify-a-max",
+            "verify-b-max"])
+    def test_ignored_or_empty_input_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
     def test_selfcheck_is_for_lgm_only(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["table", "gmgens", "--genus", "2..4", "--selfcheck"])
@@ -187,6 +207,12 @@ class TestUsageErrors:
 
 
 class TestVerify:
+    def test_smallest_sweep_checks_one_pair(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--a-max", "2", "--b-max", "3",
+                               "--q-list", "2,9")
+        assert code == EXIT_OK
+        assert out.strip() == "all agree (2 cases)"
+
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--a-max", "5", "--b-max", "10",
                                "--q-list", "2,3,9")
@@ -331,6 +357,12 @@ class TestTable:
                 for w in (1, 2, 3)]
         assert runs[0][0] == EXIT_OK and "selfcheck passed on" in runs[0][2]
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_selfcheck_with_q_one_does_not_depend_on_workers(self, capsys):
+        runs = [run_cli(capsys, "table", "lgm", "--genus", "0..13", "--q", "1,2,3,4",
+                        "--format", "csv", "--selfcheck", "--workers", w) for w in ("1", "3")]
+        assert runs[0][0] == EXIT_OK and "selfcheck passed on" in runs[0][2]
+        assert runs[1] == runs[0]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_selfcheck_reports_mismatches(self, capsys, monkeypatch, workers):

@@ -1,5 +1,7 @@
 """Tree enumeration: counts, uniqueness, tree structure, budgets."""
 
+from functools import partial
+
 import pytest
 
 from nsgbounds import (
@@ -17,6 +19,7 @@ from nsgbounds.enumeration import (
     _add_times,
     _expand,
     _node,
+    _per_leaf,
     _raw,
     _root,
     _spine_split,
@@ -224,6 +227,20 @@ class TestMapReduce:
                                       pool=pool)
         assert merged == serial
 
+    def test_kernel_fold_equals_leaf_fold(self):
+        kernel = partial(_per_leaf, _gens_fingerprint)
+        want = map_reduce_genus(10, _gens_fingerprint, (0, 0, 0))
+        assert map_reduce_genus(10, _gens_fingerprint, (0, 0, 0), kernel=kernel) == want
+        with worker_pool(2) as pool:
+            assert map_reduce_genus(10, _gens_fingerprint, (0, 0, 0), kernel=kernel,
+                                    pool=pool) == want
+
+    def test_parallel_rejects_unpicklable_kernel(self):
+        with pytest.raises(NsgError, match="kernel"):
+            with worker_pool(2) as pool:
+                map_reduce_genus(8, _one, (0,), pool=pool,
+                                 kernel=lambda parent: _per_leaf(_one, parent))
+
     def test_parallel_budget_enforced(self):
         with pytest.raises(ResourceLimit):
             with worker_pool(2) as pool:
@@ -269,6 +286,35 @@ class TestFusedWalk:
             else:
                 assert enumerate_genus(6, visitor, node_budget=budget) == 23
 
+    def test_kernel_sees_each_parent_with_children_once(self):
+        seen = []
+
+        def kernel(parent):
+            seen.append(parent)
+            return _per_leaf(_gens_fingerprint, parent)
+
+        tally = {}
+        sizes = _walk(_root(12), 12, 10 ** 6, _gens_fingerprint, tally, kernel)
+        parents = []
+        _walk(_root(12), 11, 10 ** 6, parents.append)
+        assert seen == [p for p in parents if p[3] >> p[1] + 1]
+        assert len(seen) < len(parents)
+        assert sum(tally.values()) == sizes[12] == A007323[12]
+
+    def test_kernel_runs_after_the_budget_check(self):
+        parents = []
+        _walk(_root(7), 6, 10 ** 6, parents.append)
+        with_children = [p for p in parents if p[3] >> p[1] + 1]
+        assert parents[-1] == with_children[-1]  # the walk's last node has children
+        n = sum(count_by_genus(7))
+        for budget, want in ((n, with_children), (n - 1, with_children[:-1])):
+            calls = []
+            try:
+                _walk(_root(7), 7, budget, _one, {}, lambda parent: calls.append(parent) or [])
+            except ResourceLimit:
+                assert budget < n
+            assert calls == want
+
     def test_doubling_equals_repeated_merges(self):
         acc, value = (5, 0, 2), (1, 3, 0)
         want = acc
@@ -301,3 +347,4 @@ def _one(S):
 def _gens_fingerprint(leaf):
     gens = bit_indices(leaf[3])
     return (1, len(gens), sum(gens))
+

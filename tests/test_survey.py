@@ -17,7 +17,7 @@ from nsgbounds import (
     survey,
 )
 from nsgbounds.bounds import classify_generators, coincidence_criterion, sufficient_condition
-from nsgbounds.enumeration import _root, _semigroup, _walk
+from nsgbounds.enumeration import _expand, _root, _semigroup, _walk
 from nsgbounds.errors import ResourceLimit
 from nsgbounds.survey import (
     compare_tables,
@@ -29,8 +29,12 @@ from nsgbounds.survey import (
     lgm_json,
     lgm_text,
     load_reference,
+    _gmgen_kernel,
     _gmgen_leaf,
+    _lgm_checked_leaf,
+    _lgm_kernel,
     _lgm_leaf,
+    _sample_rule,
     render_fixed2,
     selfcheck_lgm,
 )
@@ -319,3 +323,52 @@ class TestLeafKernels:
                 cls = classify_generators(S, 2)
                 n_gm, n_non = len(cls.gm_generators), len(cls.non_gm_generators)
                 assert _gmgen_leaf(lcm, leaf) == (1, n_gm, n_non, n_non * (lcm // len(gens)))
+
+
+def _parents(top):
+    """Every raw node of genus below ``top``, from a walk to genus ``top``."""
+    stack, out = [_root(top)], []
+    while stack:
+        node = stack.pop()
+        if node[2] < top:
+            out.append(node)
+            stack.extend(_expand(node))
+    return out
+
+
+def _tally(pairs):
+    """(value -> count, the checked values in order) of (value, count) pairs."""
+    counts, checked = {}, []
+    for value, count in pairs:
+        assert count > 0
+        counts[value] = counts.get(value, 0) + count
+        if value[-2]:
+            checked.append(value)
+    return counts, checked
+
+
+class TestParentKernels:
+    """A parent kernel tallies its children as their leaf function would."""
+
+    Q = (1, 2, 3, 4, 9, 16, 256)
+
+    @pytest.mark.parametrize("sample_rate", [None, 0.3])
+    def test_lgm_kernel_matches_the_leaves(self, sample_rate):
+        rule = None if sample_rate is None else _sample_rule(8, sample_rate)
+        sampled = 0
+        for parent in _parents(14):
+            kids = _expand(parent)
+            if rule is None:
+                want = _tally((_lgm_leaf(self.Q, kid), 1) for kid in kids)
+            else:
+                want = _tally((_lgm_checked_leaf(self.Q, rule, kid), 1) for kid in kids)
+            assert _tally(_lgm_kernel(self.Q, rule, parent)) == want
+            sampled += len(want[1])
+        assert (sampled > 1000) == (rule is not None)
+
+    def test_gmgen_kernel_matches_the_leaves(self):
+        for parent in _parents(14):
+            lcm = math.lcm(*range(1, parent[2] + 3))
+            want = _tally((_gmgen_leaf(lcm, kid), 1) for kid in _expand(parent))
+            assert _tally(_gmgen_kernel(lcm, parent))[0] == want[0]
+
