@@ -14,7 +14,7 @@ from .bounds import (
     classify_generators,
     differential_sweep,
 )
-from .enumeration import DEFAULT_NODE_BUDGET
+from .enumeration import DEFAULT_NODE_BUDGET, worker_pool
 from .errors import NsgError, ResourceLimit
 from .semigroup import TwoGenSemigroup, from_generators, is_member, unique_representation
 from .survey import (
@@ -263,10 +263,11 @@ def _cmd_table(args, parser) -> int:
         parser.error("--seed applies with --selfcheck only")
     q_list = TABLE_Q if args.q is None else args.q
     try:
+        worker_pool(workers)  # forks nothing, but raises where the platform cannot
         ref_text = None if args.reference is None else _read_reference(args.kind, args.reference)
         out = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
                else contextlib.nullcontext(sys.stdout))
-    except OSError as exc:
+    except (OSError, NsgError) as exc:
         print(f"nsgbounds: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:  # a reference that does not parse
@@ -287,7 +288,7 @@ def _cmd_table(args, parser) -> int:
             rows = exc.partial or []
             truncated = True
             print(f"nsgbounds: {exc}", file=sys.stderr)
-        except NsgError as exc:  # such as a pool this platform cannot start
+        except NsgError as exc:  # a pool worker that could not start, or died
             print(f"nsgbounds: {exc}", file=sys.stderr)
             return EXIT_USAGE
         fh.write(_render_table(args.kind, rows, q_list, args.format, truncated=truncated))

@@ -43,10 +43,21 @@ depth leaves one unit holding almost every node.  ``_spine_split``
 walks the spine down to genus g - 2 and makes each of its other
 children, and its last node, a unit: at genus 17 that is 106 units, the
 largest with 11.7% of the nodes.  A fold walks its units in this
-process, or on a process pool (``worker_pool``, fork only) that can
-serve every row of a table; either way the unit tallies are merged in
-unit order, and the row's node budget is checked after each unit, so an
-overrun stops the row one unit after it happens.
+process, or on a pool from ``worker_pool`` that can serve every row of a
+table; either way the unit tallies are merged in unit order, and the
+row's node budget is checked after each unit, so an overrun stops the
+row one unit after it happens.
+
+The pool is a set of processes forked up front, each fed over its own
+task pipe and answering over its own result pipe, with length-prefixed
+pickles.  It starts no thread: the caller's thread hands out chunks of
+units, about four per worker, as workers become free, and waits on the
+result pipes with ``select.poll``.  A fold that stops early (an overrun
+or a worker's exception) first collects the chunks in flight, so the
+pool is idle again for the next row; a worker that dies stops the pool.
+Each worker closes the pipe ends it inherits from the ones forked before
+it, so only the parent can write a worker's tasks, and a worker that
+reads EOF exits.
 
 Child expansion is all bitwise.  The effective generators are the set
 bits of gens_mask above the Frobenius number.  Removing one, lam, gives
@@ -70,9 +81,11 @@ generators and no tuple built per child.
 """
 
 import contextlib
-import multiprocessing
 import operator
+import os
 import pickle
+import select
+import signal
 from functools import partial
 from typing import NamedTuple
 
@@ -334,37 +347,209 @@ def _spine_split(g: int) -> tuple[int, list[tuple]]:
     return spine, units
 
 
-def _drain(parts) -> None:
-    """Wait for every unit result still due from a pool.
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` to ``fd`` as a pickle behind its 8-byte length."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
 
-    Terminating a pool while a worker writes a result can leave the
-    result queue's lock held, and the pool's shutdown then waits for it
-    forever; a pool with no unit in flight shuts down cleanly.
+
+def _read(fd: int, size: int) -> bytes:
+    """Exactly ``size`` bytes of ``fd``; EOFError if its writer closes first."""
+    data = b""
+    while len(data) < size:
+        more = os.read(fd, size - len(data))
+        if not more:
+            raise EOFError
+        data += more
+    return data
+
+
+def _recv(fd: int):
+    """The next message ``_send`` wrote to ``fd``."""
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _serve(tasks: int, results: int) -> None:
+    """A worker's loop: answer each (fn, chunk) with (True, [fn(task), ...]).
+
+    An exception from ``fn`` is answered with (False, exception).  The
+    worker leaves through ``os._exit`` when its task pipe reads EOF, or
+    on any failure of its own, so it never runs the parent's cleanup.
     """
-    while True:
+    status = 1
+    try:
+        while True:
+            try:
+                fn, chunk = _recv(tasks)
+            except EOFError:
+                status = 0
+                break
+            try:
+                reply = (True, [fn(task) for task in chunk])
+            except Exception as exc:
+                reply = (False, exc)
+            try:
+                _send(results, reply)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                _send(results, (False, NsgError(f"a pool worker's result does not "
+                                                f"pickle: {exc}")))
+    finally:
+        os._exit(status)
+
+
+class _ForkPool:
+    """Forked worker processes, each with a task pipe and a result pipe.
+
+    No thread is started: the caller's thread hands out the chunks and
+    waits on the result pipes with ``select.poll``.
+    """
+
+    def __init__(self, workers: int):
+        self._size = workers
+        self._workers = []  # (pid, task pipe write end, result pipe read end)
+
+    @property
+    def pids(self) -> tuple[int, ...]:
+        """Process ids of the running workers."""
+        return tuple(pid for pid, _, _ in self._workers)
+
+    def __enter__(self):
         try:
-            for _ in parts:
-                pass
-            return
-        except ResourceLimit:
-            pass
+            for _ in range(self._size):
+                self._fork()
+        except BaseException:
+            self._stop(kill=True)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._stop(kill=exc_type is not None)
+
+    def _fork(self) -> None:
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            for fd in (task_r, task_w, result_r, result_w):
+                os.close(fd)
+            raise NsgError(f"cannot start a pool worker: {exc}") from None
+        if pid == 0:
+            try:
+                # Only the parent may hold a task pipe's write end, so that
+                # every worker reads EOF when the parent dies.
+                for _, task, result in self._workers:
+                    os.close(task)
+                    os.close(result)
+                os.close(task_w)
+                os.close(result_r)
+                _serve(task_r, result_w)
+            finally:
+                os._exit(1)
+        self._workers.append((pid, task_w, result_r))
+        os.close(task_r)
+        os.close(result_w)
+
+    def _stop(self, kill: bool) -> None:
+        """Stop every worker and reap it.
+
+        Closing both pipes lets an idle worker read EOF and a busy one
+        fail its next write; ``kill`` sends SIGKILL first instead.
+        """
+        workers, self._workers = self._workers, []
+        for pid, task, result in workers:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            os.close(task)
+            os.close(result)
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+
+    def imap(self, fn, tasks: list):
+        """``fn(task)`` for each task in order, computed by the workers.
+
+        Tasks go out in chunks, about four per worker, each to the next
+        free worker.  An exception from ``fn`` is raised here in its
+        task's turn, and closing the iterator early is allowed; either
+        way the chunks still in flight are collected first, so the pool
+        is idle for its next call.  A worker that dies raises NsgError,
+        and that or any other exception here stops the pool.
+        """
+        if not self._workers:
+            raise NsgError("the worker pool is not running")
+        size = -(-len(tasks) // (4 * len(self._workers)))
+        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        free = list(self._workers)
+        busy = {}  # result pipe -> (worker, chunk index)
+        done = {}  # chunk index -> (ok, results or exception)
+        sent = 0
+        waiting = select.poll()  # not select.select, which fails on fds >= 1024
+        try:
+            for i in range(len(chunks)):
+                while True:  # a free worker gets the next chunk before anything waits
+                    while free and sent < len(chunks):
+                        worker = free.pop()
+                        self._call(worker, _send, worker[1], (fn, chunks[sent]))
+                        busy[worker[2]] = worker, sent
+                        waiting.register(worker[2], select.POLLIN)
+                        sent += 1
+                    if i in done:
+                        break
+                    for fd, _ in waiting.poll():
+                        waiting.unregister(fd)
+                        worker, j = busy.pop(fd)
+                        done[j] = self._call(worker, _recv, fd)
+                        free.append(worker)
+                ok, results = done.pop(i)
+                if not ok:
+                    break
+                yield from results
+            else:
+                return
+        except GeneratorExit:
+            self._collect(busy)
+            raise
+        except BaseException:
+            self._stop(kill=True)
+            raise
+        self._collect(busy)
+        raise results
+
+    def _collect(self, busy: dict) -> None:
+        """Wait for the chunks in flight and drop their results."""
+        for fd, (worker, _) in busy.items():
+            if worker in self._workers:  # not if the pool was stopped since
+                self._call(worker, _recv, fd)
+
+    def _call(self, worker, io, *args):
+        """``io(*args)`` on a pipe of ``worker``; if it died, stop the pool."""
+        try:
+            return io(*args)
+        except (EOFError, BrokenPipeError):
+            self._stop(kill=True)
+            raise NsgError(f"pool worker {worker[0]} exited before it answered") from None
 
 
 def worker_pool(workers: int):
     """The pool ``map_reduce_genus`` takes, as a context manager.
 
-    It gives a fork process pool of ``workers`` processes, or None when
-    ``workers`` <= 1.  Workers are forked, so they share the parent's
-    imported code and only the tasks cross by pickling.  Raises NsgError
+    It gives None when ``workers`` <= 1.  Otherwise entering it forks
+    ``workers`` processes, which share the parent's imported code, so
+    only the tasks and their results cross, as pickles over a pipe pair
+    per worker; the calling thread hands out the work and no thread is
+    started.  Leaving it normally closes the pipes, so each worker reads
+    EOF and exits; leaving it on any exception, KeyboardInterrupt too,
+    kills the workers.  Either way every worker is reaped before the
+    block ends.  Raises NsgError at the call, before anything is forked,
     when the platform cannot fork.
     """
     if workers <= 1:
         return contextlib.nullcontext()
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" not in methods:
-        raise NsgError(f"workers > 1 needs the 'fork' start method, which this "
-                       f"platform lacks (it has: {', '.join(methods)})")
-    return multiprocessing.get_context("fork").Pool(processes=workers)
+    if not hasattr(os, "fork"):
+        raise NsgError("workers > 1 needs 'fork', which this platform lacks")
+    return _ForkPool(workers)
 
 
 def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
@@ -407,14 +592,16 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     walks under the budget left after the spine, and the running total is
     checked after every unit, so ResourceLimit is raised exactly when the
     walk needs more than ``node_budget`` nodes, at most one unit after the
-    budget is crossed; with a pool, only once the units already sent have
-    finished.
+    budget is crossed; with a pool, no more units are sent then, and the
+    units already sent are waited for, so the pool can fold the next row.
 
     With a pool, ``map_fn`` and ``kernel`` must be picklable (module-level
     functions or partials of them, not lambdas or nested functions),
     since they are sent to the workers; NsgError is raised otherwise,
     before any unit is sent.  ``add_fn`` and ``zero`` stay in this
-    process and may be anything.
+    process and may be anything.  An exception that ``map_fn`` or
+    ``kernel`` raises in a worker is raised here, and a worker that dies
+    raises NsgError.
 
     Returns (aggregate, nodes_walked).
     """
@@ -431,9 +618,7 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise NsgError(f"a pooled fold needs a picklable map_fn and kernel, such "
                            f"as module-level functions: {exc}") from None
-        # Pool.map's own chunk rule: about four chunks per worker
-        chunksize = -(-len(tasks) // (4 * len(pool._pool)))
-        parts = pool.imap(_fold_subtree, tasks, chunksize=chunksize)
+        parts = pool.imap(_fold_subtree, tasks)
     total = spine
     get = tally.get
     try:
@@ -447,8 +632,7 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     except ResourceLimit:  # one unit alone overran the budget left after the spine
         total = node_budget + 1
     if total > node_budget:
-        if pool is not None:
-            _drain(parts)
+        parts.close()  # a pool collects the units still in flight
         raise ResourceLimit(f"node budget of {node_budget} exceeded")
     acc = zero
     for value, count in tally.items():

@@ -1,7 +1,7 @@
 """Command-line behaviour: outputs, formats, exit codes, determinism."""
 
 import json
-import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -193,17 +193,23 @@ class TestUsageErrors:
         raise AssertionError("no table may be built")
 
     def test_no_fork_is_a_clear_error(self, capsys, monkeypatch):
-        def no_context(*args):
-            raise AssertionError("no pool may be started")
-
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(multiprocessing, "get_context", no_context)
+        monkeypatch.delattr(os, "fork")
         code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "2..6",
                                  "--workers", "2")
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("nsgbounds: ") and err.count("\n") == 1
-        assert "'fork'" in err and "spawn" in err
+        assert "'fork'" in err
+
+    def test_no_fork_leaves_the_out_file_alone(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "keep.csv"
+        target.write_text("genus,old\n")
+        monkeypatch.delattr(os, "fork")
+        code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "2..6",
+                                 "--workers", "2", "--out", str(target))
+        assert code == EXIT_USAGE and out == ""
+        assert "'fork'" in err
+        assert target.read_text() == "genus,old\n"
 
 
 class TestVerify:

@@ -1,5 +1,8 @@
 """Tree enumeration: counts, uniqueness, tree structure, budgets."""
 
+import os
+import select
+import signal
 from functools import partial
 
 import pytest
@@ -18,6 +21,7 @@ from nsgbounds import (
 from nsgbounds.enumeration import (
     _add_times,
     _expand,
+    _fold_subtree,
     _node,
     _per_leaf,
     _raw,
@@ -247,11 +251,15 @@ class TestMapReduce:
                 map_reduce_genus(8, _one, (0,), pool=pool, node_budget=20)
 
     def test_pooled_overrun_leaves_no_unit_in_flight(self):
-        # shutting a pool down while a worker writes a result can hang
+        # a unit still in flight would answer later, into the next fold
         with worker_pool(2) as pool:
-            with pytest.raises(ResourceLimit):
-                map_reduce_genus(12, _one, (0,), pool=pool, node_budget=200)
-            assert not pool._cache
+            results = [fd for _, _, fd in pool._workers]
+            # a unit alone overruns 200 in a worker; half the row overruns
+            # only in the parent's running total, with units still in flight
+            for budget in (200, sum(A007323[:13]) // 2):
+                with pytest.raises(ResourceLimit) as overrun:  # keeps the fold's frame alive
+                    map_reduce_genus(12, _one, (0,), pool=pool, node_budget=budget)
+                assert select.select(results, [], [], 0.5)[0] == [], overrun
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_boundary(self, workers):
@@ -260,6 +268,78 @@ class TestMapReduce:
             assert map_reduce_genus(8, _one, (0,), node_budget=n, pool=pool) == ((67,), n)
             with pytest.raises(ResourceLimit):
                 map_reduce_genus(8, _one, (0,), node_budget=n - 1, pool=pool)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that blocks for a minute, rather than hang the run."""
+    def expire(signum, frame):
+        raise TimeoutError("blocked for 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestForkPool:
+    def test_worker_exception_is_raised_in_the_parent(self):
+        with worker_pool(2) as pool:
+            pids = pool.pids
+            with pytest.raises(ValueError, match="no leaf"):
+                map_reduce_genus(10, _fail, (0,), pool=pool)
+            assert map_reduce_genus(10, _one, (0,), pool=pool) == map_reduce_genus(10, _one, (0,))
+        assert_reaped(pids)
+
+    def test_dead_worker_is_an_error(self):
+        with worker_pool(2) as pool:
+            pids = pool.pids
+            with pytest.raises(NsgError, match="exited"):
+                map_reduce_genus(10, _exit, (0,), pool=pool)
+            with pytest.raises(NsgError, match="not running"):
+                map_reduce_genus(10, _one, (0,), pool=pool)
+        assert_reaped(pids)
+
+    def test_overrun_then_a_good_fold(self):
+        want = map_reduce_genus(12, _gens_fingerprint, (0, 0, 0))
+        with worker_pool(2) as pool:
+            pids = pool.pids
+            with pytest.raises(ResourceLimit):
+                map_reduce_genus(12, _one, (0,), pool=pool, node_budget=200)
+            assert map_reduce_genus(12, _gens_fingerprint, (0, 0, 0), pool=pool) == want
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError])
+    def test_workers_are_killed_when_the_block_raises(self, exc):
+        with pytest.raises(exc):
+            with worker_pool(2) as pool:
+                pids = pool.pids
+                fold = pool.imap(_fold_subtree, [(_root(14), 14, _one, None, 10 ** 6)] * 8)
+                next(fold)  # the other units are in flight
+                raise exc
+        assert_reaped(pids)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_each_worker_holds_only_its_own_pipes(self):
+        # so that a dying parent leaves every worker reading EOF
+        with worker_pool(3) as pool:
+            map_reduce_genus(10, _one, (0,), pool=pool)  # every worker has started
+            owner = {os.fstat(fd).st_ino: pid
+                     for pid, task, result in pool._workers for fd in (task, result)}
+            for pid in pool.pids:
+                fds = f"/proc/{pid}/fd"
+                held = {os.stat(os.path.join(fds, fd)).st_ino for fd in os.listdir(fds)}
+                assert {ino for ino in owner if ino in held} == {
+                    ino for ino, worker in owner.items() if worker == pid}
 
 
 class TestFusedWalk:
@@ -342,6 +422,14 @@ class TestSpineSplit:
 
 def _one(S):
     return (1,)
+
+
+def _fail(leaf):
+    raise ValueError("no leaf wanted")
+
+
+def _exit(leaf):
+    os._exit(3)
 
 
 def _gens_fingerprint(leaf):
