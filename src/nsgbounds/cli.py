@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
+EXIT_OSERR = 71  # a pool worker could not start, or died
 
 TABLE_Q = (2, 3, 9, 16, 256)  # the lgm table's q values without --q
 
@@ -132,7 +133,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.add_argument("--workers", type=partial(_parse_int, minimum=1), default=None,
-                   help="parallel workers (default: NSG_WORKERS or 1)")
+                   help="processes that fold, this one among them "
+                        "(default: NSG_WORKERS or 1)")
     p.add_argument("--node-budget", type=partial(_parse_int, minimum=1),
                    default=DEFAULT_NODE_BUDGET)
     p.add_argument("--seed", type=partial(_parse_int, minimum=0), default=None,
@@ -290,7 +292,7 @@ def _cmd_table(args, parser) -> int:
             print(f"nsgbounds: {exc}", file=sys.stderr)
         except NsgError as exc:  # a pool worker that could not start, or died
             print(f"nsgbounds: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return EXIT_OSERR
         fh.write(_render_table(args.kind, rows, q_list, args.format, truncated=truncated))
     if truncated:
         return EXIT_RESOURCE

@@ -48,16 +48,25 @@ table; either way the unit tallies are merged in unit order, and the
 row's node budget is checked after each unit, so an overrun stops the
 row one unit after it happens.
 
-The pool is a set of processes forked up front, each fed over its own
-task pipe and answering over its own result pipe, with length-prefixed
-pickles.  It starts no thread: the caller's thread hands out chunks of
-units, about four per worker, as workers become free, and waits on the
-result pipes with ``select.poll``.  A fold that stops early (an overrun
-or a worker's exception) first collects the chunks in flight, so the
-pool is idle again for the next row; a worker that dies stops the pool.
+The pool for ``workers`` processes forks ``workers`` - 1 of them up
+front; the parent is the last one.  All of them take units from one
+shared queue, a pipe made before the forks whose read end is
+non-blocking.  For each row the parent writes one fixed-size (row,
+unit index) record per unit into the queue, and only then sends each
+worker the row's task list, one length-prefixed pickle over the
+worker's own task pipe.  A worker takes records, one non-blocking read
+each, until the queue is empty, answers each unit over its own result
+pipe, and then blocks on its task pipe again; a record of a later row
+that it takes after its own row is done waits for that row's list.
+Between results the parent takes units and folds them itself, and
+waits on the result pipes with ``select.poll`` only when the queue is
+empty.  So no unit waits for a hand-out, and no thread is started.  A
+fold that stops early (an overrun or a worker's exception) first
+drains the queue and collects the units the workers took, so the pool
+is idle again for the next row; a worker that dies stops the pool.
 Each worker closes the pipe ends it inherits from the ones forked before
-it, so only the parent can write a worker's tasks, and a worker that
-reads EOF exits.
+it, and the queue's write end, so only the parent can write a worker's
+tasks or the queue, and a worker that reads EOF exits.
 
 Child expansion is all bitwise.  The effective generators are the set
 bits of gens_mask above the Frobenius number.  Removing one, lam, gives
@@ -81,11 +90,13 @@ generators and no tuple built per child.
 """
 
 import contextlib
+import gc
 import operator
 import os
 import pickle
 import select
 import signal
+import struct
 from functools import partial
 from typing import NamedTuple
 
@@ -347,10 +358,23 @@ def _spine_split(g: int) -> tuple[int, list[tuple]]:
     return spine, units
 
 
-def _send(fd: int, obj) -> None:
-    """Write ``obj`` to ``fd`` as a pickle behind its 8-byte length."""
+# A queue record: the row's number and a unit index, two unsigned 32-bit ints.
+_RECORD = struct.Struct("=II")
+# Records one row may queue: 16 KiB, the default capacity of a pipe on
+# macOS (Linux gives 64 KiB), so that the parent's queue write never
+# blocks.
+_QUEUE_RECORDS = 16384 // _RECORD.size
+
+
+def _pack(obj) -> bytes:
+    """``obj`` as a pickle behind its 8-byte length."""
     data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
+    return len(data).to_bytes(8, "little") + data
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to ``fd``."""
+    view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
 
@@ -367,48 +391,89 @@ def _read(fd: int, size: int) -> bytes:
 
 
 def _recv(fd: int):
-    """The next message ``_send`` wrote to ``fd``."""
+    """The next message ``_pack`` made and ``_send`` wrote to ``fd``."""
     return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
 
 
-def _serve(tasks: int, results: int) -> None:
-    """A worker's loop: answer each (fn, chunk) with (True, [fn(task), ...]).
+def _take(queue: int):
+    """The next (row, unit) record of the non-blocking ``queue``, or None if it is empty.
 
-    An exception from ``fn`` is answered with (False, exception).  The
-    worker leaves through ``os._exit`` when its task pipe reads EOF, or
-    on any failure of its own, so it never runs the parent's cleanup.
+    Every write to the queue is a whole number of records of at most
+    PIPE_BUF bytes, which a pipe writes at once, and every read asks for
+    one record, so a read never returns part of one.
+    """
+    try:
+        record = os.read(queue, _RECORD.size)
+    except BlockingIOError:
+        return None
+    return _RECORD.unpack(record) if record else None  # b"": the parent closed it
+
+
+def _apply(fn, task) -> tuple:
+    """(True, fn(task)), or (False, the exception it raised)."""
+    try:
+        return True, fn(task)
+    except Exception as exc:
+        return False, exc
+
+
+def _serve(tasks: int, results: int, queue: int) -> None:
+    """A worker's loop: fold the units it takes from the queue, one answer each.
+
+    Each message on ``tasks`` is a row's (row, fn, task list).  The worker
+    then takes records from ``queue`` until it is empty, and answers the
+    record (row, i) with (i, ok, value) from ``_apply(fn, task list[i])``.
+    A record of a later row, which the parent may queue as soon as this
+    row's units are all answered, is held until that row's list arrives;
+    the lists of rows it missed meanwhile are dropped.  The worker leaves
+    through ``os._exit`` when its task pipe reads EOF, or on any failure
+    of its own, so it never runs the parent's cleanup.
     """
     status = 1
+    held = None
     try:
         while True:
             try:
-                fn, chunk = _recv(tasks)
+                row, fn, units = _recv(tasks)
             except EOFError:
                 status = 0
                 break
-            try:
-                reply = (True, [fn(task) for task in chunk])
-            except Exception as exc:
-                reply = (False, exc)
-            try:
+            if held is not None and held[0] != row:
+                continue
+            while True:
+                record, held = held or _take(queue), None
+                if record is None:
+                    break
+                if record[0] != row:
+                    held = record
+                    break
+                i = record[1]
+                try:
+                    reply = _pack((i, *_apply(fn, units[i])))
+                except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                    reply = _pack((i, False, NsgError(f"a pool worker's result does "
+                                                      f"not pickle: {exc}")))
                 _send(results, reply)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                _send(results, (False, NsgError(f"a pool worker's result does not "
-                                                f"pickle: {exc}")))
     finally:
         os._exit(status)
 
 
 class _ForkPool:
-    """Forked worker processes, each with a task pipe and a result pipe.
+    """Forked worker processes that fold units from one queue with the parent.
 
-    No thread is started: the caller's thread hands out the chunks and
-    waits on the result pipes with ``select.poll``.
+    Each worker has a task pipe and a result pipe; all of them, and the
+    parent, take units from one queue pipe.  No thread is started: the
+    caller's thread folds units between reading results, and waits on the
+    result pipes with ``select.poll`` only when the queue is empty.
     """
 
     def __init__(self, workers: int):
-        self._size = workers
+        self._size = workers - 1  # the parent folds too
         self._workers = []  # (pid, task pipe write end, result pipe read end)
+        self._queue = None  # (read end, write end)
+        self._results = select.poll()  # not select.select, which fails on fds >= 1024
+        self._row = 0
+        self._frozen = False
 
     @property
     def pids(self) -> tuple[int, ...]:
@@ -416,7 +481,14 @@ class _ForkPool:
         return tuple(pid for pid, _, _ in self._workers)
 
     def __enter__(self):
+        # Frozen objects are left alone by the workers' collections, so a
+        # worker does not copy the parent's pages by touching them.
+        self._frozen = not gc.get_freeze_count()
+        if self._frozen:
+            gc.freeze()
         try:
+            self._queue = os.pipe()
+            os.set_blocking(self._queue[0], False)
             for _ in range(self._size):
                 self._fork()
         except BaseException:
@@ -438,112 +510,149 @@ class _ForkPool:
             raise NsgError(f"cannot start a pool worker: {exc}") from None
         if pid == 0:
             try:
-                # Only the parent may hold a task pipe's write end, so that
-                # every worker reads EOF when the parent dies.
+                # Only the parent may hold a task pipe's or the queue's write
+                # end, so that every worker reads EOF when the parent dies.
                 for _, task, result in self._workers:
                     os.close(task)
                     os.close(result)
                 os.close(task_w)
                 os.close(result_r)
-                _serve(task_r, result_w)
+                os.close(self._queue[1])
+                _serve(task_r, result_w, self._queue[0])
             finally:
                 os._exit(1)
         self._workers.append((pid, task_w, result_r))
+        self._results.register(result_r, select.POLLIN)
         os.close(task_r)
         os.close(result_w)
 
     def _stop(self, kill: bool) -> None:
-        """Stop every worker and reap it.
+        """Stop every worker and reap it, then close the queue.
 
-        Closing both pipes lets an idle worker read EOF and a busy one
-        fail its next write; ``kill`` sends SIGKILL first instead.
+        Closing the pipes lets an idle worker read EOF; ``kill`` sends
+        SIGKILL first instead.  Without ``kill``, a worker that did not
+        exit cleanly raises NsgError once all are reaped.
         """
         workers, self._workers = self._workers, []
         for pid, task, result in workers:
             if kill:
                 os.kill(pid, signal.SIGKILL)
+            self._results.unregister(result)
             os.close(task)
             os.close(result)
-        for pid, _, _ in workers:
-            os.waitpid(pid, 0)
+        failed = [pid for pid, _, _ in workers if os.waitpid(pid, 0)[1]]
+        if self._queue is not None:
+            for fd in self._queue:
+                os.close(fd)
+            self._queue = None
+        if self._frozen:
+            gc.unfreeze()
+            self._frozen = False
+        if failed and not kill:
+            raise NsgError(f"pool worker {failed[0]} exited before the pool closed")
 
     def imap(self, fn, tasks: list):
-        """``fn(task)`` for each task in order, computed by the workers.
+        """``fn(task)`` for each task in order, computed by the workers and the parent.
 
-        Tasks go out in chunks, about four per worker, each to the next
-        free worker.  An exception from ``fn`` is raised here in its
-        task's turn, and closing the iterator early is allowed; either
-        way the chunks still in flight are collected first, so the pool
-        is idle for its next call.  A worker that dies raises NsgError,
-        and that or any other exception here stops the pool.
+        The units go into the queue as (row, index) records before any
+        worker gets the row's task list, so a worker that takes a record
+        has its list or is about to get it.  The queue is empty when a
+        row starts, and a row may queue at most ``_QUEUE_RECORDS`` (2,048)
+        records, 16 KiB, so the write never blocks; a genus-60 row has
+        1,654 units.  Between reading results, the parent takes units and
+        computes them itself.  An exception from ``fn`` is raised here in
+        its task's turn, and closing the iterator early is allowed; either
+        way the queue is drained and the units already taken are waited
+        for first, so the pool is idle for its next call.  A worker that
+        dies raises NsgError, and that or any other exception here stops
+        the pool.
         """
         if not self._workers:
             raise NsgError("the worker pool is not running")
-        size = -(-len(tasks) // (4 * len(self._workers)))
-        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-        free = list(self._workers)
-        busy = {}  # result pipe -> (worker, chunk index)
-        done = {}  # chunk index -> (ok, results or exception)
-        sent = 0
-        waiting = select.poll()  # not select.select, which fails on fds >= 1024
+        if len(tasks) > _QUEUE_RECORDS:
+            raise NsgError(f"{len(tasks)} units are more than the pool's queue holds "
+                           f"({_QUEUE_RECORDS})")
+        self._row += 1
+        queue_r, queue_w = self._queue
+        records = b"".join(_RECORD.pack(self._row, i) for i in range(len(tasks)))
+        step = select.PIPE_BUF - select.PIPE_BUF % _RECORD.size
+        for start in range(0, len(records), step):
+            os.write(queue_w, records[start:start + step])
+        message = _pack((self._row, fn, tasks))
+        done = {}  # unit index -> (ok, result or exception)
+        left = len(tasks)  # units neither computed here nor answered
         try:
-            for i in range(len(chunks)):
-                while True:  # a free worker gets the next chunk before anything waits
-                    while free and sent < len(chunks):
-                        worker = free.pop()
-                        self._call(worker, _send, worker[1], (fn, chunks[sent]))
-                        busy[worker[2]] = worker, sent
-                        waiting.register(worker[2], select.POLLIN)
-                        sent += 1
-                    if i in done:
-                        break
-                    for fd, _ in waiting.poll():
-                        waiting.unregister(fd)
-                        worker, j = busy.pop(fd)
-                        done[j] = self._call(worker, _recv, fd)
-                        free.append(worker)
-                ok, results = done.pop(i)
+            for pid, task, _ in self._workers:
+                self._call(pid, _send, task, message)
+            for i in range(len(tasks)):
+                while i not in done:
+                    ready = self._results.poll(0)
+                    if not ready:
+                        record = _take(queue_r)
+                        if record is not None:
+                            left -= 1
+                            done[record[1]] = _apply(fn, tasks[record[1]])
+                            continue
+                        ready = self._results.poll()
+                    for fd, _ in ready:
+                        j, *answer = self._call(self._pid(fd), _recv, fd)
+                        left -= 1
+                        done[j] = answer
+                ok, result = done.pop(i)
                 if not ok:
                     break
-                yield from results
+                yield result
             else:
                 return
         except GeneratorExit:
-            self._collect(busy)
+            self._settle(left)
             raise
         except BaseException:
             self._stop(kill=True)
             raise
-        self._collect(busy)
-        raise results
+        self._settle(left)
+        raise result
 
-    def _collect(self, busy: dict) -> None:
-        """Wait for the chunks in flight and drop their results."""
-        for fd, (worker, _) in busy.items():
-            if worker in self._workers:  # not if the pool was stopped since
-                self._call(worker, _recv, fd)
+    def _settle(self, left: int) -> None:
+        """Drain the queue, then wait for the units the workers took and drop them."""
+        if not self._workers:  # the pool was stopped since
+            return
+        while _take(self._queue[0]) is not None:
+            left -= 1
+        while left:
+            for fd, _ in self._results.poll():
+                self._call(self._pid(fd), _recv, fd)
+                left -= 1
 
-    def _call(self, worker, io, *args):
-        """``io(*args)`` on a pipe of ``worker``; if it died, stop the pool."""
+    def _pid(self, fd: int) -> int:
+        """The worker whose result pipe is ``fd``."""
+        return next(pid for pid, _, result in self._workers if result == fd)
+
+    def _call(self, pid: int, io, *args):
+        """``io(*args)`` on a pipe of worker ``pid``; if it died, stop the pool."""
         try:
             return io(*args)
         except (EOFError, BrokenPipeError):
             self._stop(kill=True)
-            raise NsgError(f"pool worker {worker[0]} exited before it answered") from None
+            raise NsgError(f"pool worker {pid} exited before it answered") from None
 
 
 def worker_pool(workers: int):
     """The pool ``map_reduce_genus`` takes, as a context manager.
 
     It gives None when ``workers`` <= 1.  Otherwise entering it forks
-    ``workers`` processes, which share the parent's imported code, so
-    only the tasks and their results cross, as pickles over a pipe pair
-    per worker; the calling thread hands out the work and no thread is
-    started.  Leaving it normally closes the pipes, so each worker reads
-    EOF and exits; leaving it on any exception, KeyboardInterrupt too,
-    kills the workers.  Either way every worker is reaped before the
-    block ends.  Raises NsgError at the call, before anything is forked,
-    when the platform cannot fork.
+    ``workers`` - 1 processes, and they and the calling process fold the
+    units, so ``workers`` processes fold in all.  The workers share the
+    parent's imported code, so only the tasks and their results cross, as
+    pickles over a pipe pair per worker, and the units to fold are taken
+    from one queue pipe; no thread is started.  The garbage collector is
+    frozen while the pool is open, unless something else froze it first.
+    Leaving the pool normally closes the pipes, so each worker reads EOF
+    and exits, and a worker that did not exit cleanly raises NsgError;
+    leaving it on any exception, KeyboardInterrupt too, kills the
+    workers.  Either way every worker is reaped before the block ends.
+    Raises NsgError at the call, before anything is forked, when the
+    platform cannot fork.
     """
     if workers <= 1:
         return contextlib.nullcontext()
@@ -585,15 +694,17 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
 
     The walk is split along the ordinary-semigroup spine (see the module
     docstring) and each unit is tallied on its own: in this process, or,
-    when ``pool`` (a pool from ``worker_pool``) is given, in the pool's
-    processes, which receive the units as raw node tuples and send back
-    their tallies.  Tallies are merged in unit order, so the aggregate
-    and the number of nodes walked do not depend on the pool.  Each unit
-    walks under the budget left after the spine, and the running total is
+    when ``pool`` (a pool from ``worker_pool``) is given, by the pool's
+    workers and this process, which take the units from one queue; the
+    workers receive the units as raw node tuples and send back their
+    tallies.  Tallies are merged in unit order, so the aggregate and the
+    number of nodes walked do not depend on the pool.  Each unit walks
+    under the budget left after the spine, and the running total is
     checked after every unit, so ResourceLimit is raised exactly when the
     walk needs more than ``node_budget`` nodes, at most one unit after the
-    budget is crossed; with a pool, no more units are sent then, and the
-    units already sent are waited for, so the pool can fold the next row.
+    budget is crossed; with a pool, the queue is drained then, and the
+    units the workers took are waited for, so the pool can fold the next
+    row.
 
     With a pool, ``map_fn`` and ``kernel`` must be picklable (module-level
     functions or partials of them, not lambdas or nested functions),

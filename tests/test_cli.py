@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, formats, exit codes, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -7,10 +8,11 @@ import sys
 
 import pytest
 
-from nsgbounds import build_gmgen_table, build_lgm_table, cli, survey
+from nsgbounds import build_gmgen_table, build_lgm_table, cli, enumeration, survey
 from nsgbounds.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_OSERR,
     EXIT_RESOURCE,
     EXIT_USAGE,
     _render_table,
@@ -200,6 +202,20 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("nsgbounds: ") and err.count("\n") == 1
         assert "'fork'" in err
+
+    @pytest.mark.parametrize("fault", ["dies", "cannot fork"])
+    def test_pool_worker_failure_is_an_os_error(self, capsys, monkeypatch, fault):
+        if fault == "dies":  # the worker returns at once, so it exits with status 1
+            monkeypatch.setattr(enumeration, "_serve", lambda *args: None)
+        else:
+            def no_fork():
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", no_fork)
+        code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "2..10",
+                                 "--workers", "2")
+        assert code == EXIT_OSERR and out == ""
+        assert err.startswith("nsgbounds: ") and err.count("\n") == 1
+        assert "pool worker" in err
 
     def test_no_fork_leaves_the_out_file_alone(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "keep.csv"

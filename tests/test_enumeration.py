@@ -1,8 +1,10 @@
 """Tree enumeration: counts, uniqueness, tree structure, budgets."""
 
+import gc
 import os
 import select
 import signal
+import time
 from functools import partial
 
 import pytest
@@ -19,13 +21,19 @@ from nsgbounds import (
     worker_pool,
 )
 from nsgbounds.enumeration import (
+    _QUEUE_RECORDS,
+    _RECORD,
     _add_times,
     _expand,
     _fold_subtree,
     _node,
+    _pack,
     _per_leaf,
     _raw,
+    _recv,
     _root,
+    _send,
+    _serve,
     _spine_split,
     _walk,
     tuple_add,
@@ -251,15 +259,19 @@ class TestMapReduce:
                 map_reduce_genus(8, _one, (0,), pool=pool, node_budget=20)
 
     def test_pooled_overrun_leaves_no_unit_in_flight(self):
-        # a unit still in flight would answer later, into the next fold
-        with worker_pool(2) as pool:
-            results = [fd for _, _, fd in pool._workers]
-            # a unit alone overruns 200 in a worker; half the row overruns
-            # only in the parent's running total, with units still in flight
-            for budget in (200, sum(A007323[:13]) // 2):
-                with pytest.raises(ResourceLimit) as overrun:  # keeps the fold's frame alive
-                    map_reduce_genus(12, _one, (0,), pool=pool, node_budget=budget)
-                assert select.select(results, [], [], 0.5)[0] == [], overrun
+        # a unit left in the queue or still in flight would be folded, or
+        # answer, into the next fold
+        with worker_pool(3) as pool:
+            pipes = [fd for _, _, fd in pool._workers] + [pool._queue[0]]
+            # a unit alone overruns 200; half the row overruns only in the
+            # parent's running total, with units still queued or in flight;
+            # _fail raises in every unit
+            for map_fn, budget, exc in ((_one, 200, ResourceLimit),
+                                        (_one, sum(A007323[:13]) // 2, ResourceLimit),
+                                        (_fail, 10 ** 6, ValueError)):
+                with pytest.raises(exc) as stopped:  # keeps the fold's frame alive
+                    map_reduce_genus(12, map_fn, (0,), pool=pool, node_budget=budget)
+                assert select.select(pipes, [], [], 0.5)[0] == [], stopped
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_boundary(self, workers):
@@ -301,13 +313,56 @@ class TestForkPool:
         assert_reaped(pids)
 
     def test_dead_worker_is_an_error(self):
-        with worker_pool(2) as pool:
+        with worker_pool(3) as pool:
             pids = pool.pids
+            os.kill(pids[0], signal.SIGKILL)
+            os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
             with pytest.raises(NsgError, match="exited"):
-                map_reduce_genus(10, _exit, (0,), pool=pool)
+                map_reduce_genus(10, _one, (0,), pool=pool)
             with pytest.raises(NsgError, match="not running"):
                 map_reduce_genus(10, _one, (0,), pool=pool)
         assert_reaped(pids)
+
+    def test_fewer_units_than_processes(self):
+        # genus 0..3 rows have one unit each, and four processes fold them;
+        # one pool serves every row, so a late worker may meet later rows
+        with worker_pool(4) as pool:
+            for g in range(13):
+                want = map_reduce_genus(g, _gens_fingerprint, (0, 0, 0))
+                assert map_reduce_genus(g, _gens_fingerprint, (0, 0, 0), pool=pool) == want
+        assert [len(_spine_split(g)[1]) for g in range(4)] == [1, 1, 1, 1]
+
+    def test_a_late_worker_folds_a_later_unit_with_its_own_row(self):
+        # a worker on row 1 takes a record of row 3: it drops row 2's list
+        # and folds the unit with row 3's
+        queue_r, queue_w = os.pipe()
+        os.set_blocking(queue_r, False)
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        os.write(queue_w, _RECORD.pack(3, 1))
+        for row in (1, 2, 3):
+            _send(task_w, _pack((row, str.upper, [f"row {row} unit 0", f"row {row} unit 1"])))
+        pid = os.fork()
+        if pid == 0:
+            try:
+                for fd in (task_w, result_r, queue_w):
+                    os.close(fd)
+                _serve(task_r, result_w, queue_r)
+            finally:
+                os._exit(1)
+        for fd in (task_r, result_w, queue_r):
+            os.close(fd)
+        assert _recv(result_r) == (1, True, "ROW 3 UNIT 1")
+        os.close(task_w)  # the worker reads EOF and exits cleanly
+        assert os.waitpid(pid, 0)[1] == 0
+        os.close(result_r)
+        os.close(queue_w)
+
+    def test_a_row_larger_than_the_queue_is_refused(self):
+        with worker_pool(2) as pool:
+            with pytest.raises(NsgError, match="queue"):
+                list(pool.imap(str.upper, ["x"] * (_QUEUE_RECORDS + 1)))
+            assert list(pool.imap(str.upper, ["x"] * _QUEUE_RECORDS)) == ["X"] * _QUEUE_RECORDS
 
     def test_overrun_then_a_good_fold(self):
         want = map_reduce_genus(12, _gens_fingerprint, (0, 0, 0))
@@ -324,22 +379,48 @@ class TestForkPool:
             with worker_pool(2) as pool:
                 pids = pool.pids
                 fold = pool.imap(_fold_subtree, [(_root(14), 14, _one, None, 10 ** 6)] * 8)
-                next(fold)  # the other units are in flight
+                next(fold)  # the other units are queued or in flight
                 raise exc
         assert_reaped(pids)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_each_worker_holds_only_its_own_pipes(self):
         # so that a dying parent leaves every worker reading EOF
-        with worker_pool(3) as pool:
-            map_reduce_genus(10, _one, (0,), pool=pool)  # every worker has started
+        with worker_pool(4) as pool:
+            answered = set()
+            while answered != set(pool.pids):  # every worker has started
+                answered.update(pool.imap(_slow_pid, range(12)))
+                answered.discard(os.getpid())
             owner = {os.fstat(fd).st_ino: pid
                      for pid, task, result in pool._workers for fd in (task, result)}
+            queue = os.fstat(pool._queue[0]).st_ino
             for pid in pool.pids:
                 fds = f"/proc/{pid}/fd"
-                held = {os.stat(os.path.join(fds, fd)).st_ino for fd in os.listdir(fds)}
-                assert {ino for ino in owner if ino in held} == {
+                held = {fd: os.stat(os.path.join(fds, fd)).st_ino for fd in os.listdir(fds)}
+                assert {ino for ino in owner if ino in held.values()} == {
                     ino for ino, worker in owner.items() if worker == pid}
+                # both ends of a pipe share its inode, so tell them apart by access mode
+                modes = set()
+                for fd, ino in held.items():
+                    if ino == queue:
+                        with open(f"/proc/{pid}/fdinfo/{fd}") as info:
+                            flags = next(ln for ln in info if ln.startswith("flags:"))
+                        modes.add(int(flags.split()[1], 8) & 3)
+                assert modes == {os.O_RDONLY}
+
+    def test_gc_is_frozen_only_while_the_pool_is_open(self):
+        gc.unfreeze()  # whatever an earlier test left frozen
+        with worker_pool(2):
+            assert gc.get_freeze_count()
+        assert gc.get_freeze_count() == 0
+        gc.freeze()  # frozen by someone else: the pool leaves it as it is
+        try:
+            frozen = gc.get_freeze_count()
+            with worker_pool(2):
+                pass
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
 
 class TestFusedWalk:
@@ -428,8 +509,9 @@ def _fail(leaf):
     raise ValueError("no leaf wanted")
 
 
-def _exit(leaf):
-    os._exit(3)
+def _slow_pid(task):
+    time.sleep(0.01)
+    return os.getpid()
 
 
 def _gens_fingerprint(leaf):

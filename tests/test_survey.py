@@ -5,6 +5,7 @@ import os
 import random
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -13,8 +14,10 @@ from nsgbounds import (
     build_lgm_table,
     count_by_genus,
     enumerate_genus,
+    map_reduce_genus,
     render_percent,
     survey,
+    worker_pool,
 )
 from nsgbounds.bounds import classify_generators, coincidence_criterion, sufficient_condition
 from nsgbounds.enumeration import _expand, _root, _semigroup, _walk
@@ -161,6 +164,27 @@ class TestDeterminismAcrossWorkers:
     def test_gmgen_rows_identical(self):
         assert build_gmgen_table(range(2, 9)) == build_gmgen_table(range(2, 9), workers=3)
 
+    @pytest.mark.parametrize("kind", ["lgm", "gmgens"])
+    def test_fold_for_any_worker_count(self, monkeypatch, kind):
+        if kind == "lgm":
+            # every sampled leaf mismatches, so the order of the mismatches shows
+            criterion = survey.coincidence_criterion
+            monkeypatch.setattr(survey, "coincidence_criterion",
+                                lambda S, q: not criterion(S, q))
+            q_list, rule = (2, 9), survey._sample_rule(7, 0.2)
+            fold = (partial(survey._lgm_checked_leaf, q_list, rule),
+                    (0,) * 5 + survey._UNCHECKED)
+            kernel = partial(survey._lgm_kernel, q_list, rule)
+        else:
+            lcm = math.lcm(*range(1, 14))
+            fold = partial(survey._gmgen_leaf, lcm), (0, 0, 0, 0)
+            kernel = partial(survey._gmgen_kernel, lcm)
+        want = map_reduce_genus(12, *fold, kernel=kernel)
+        assert kind == "gmgens" or len(want[0][-1]) > 100  # (q, generators) mismatches
+        for workers in (2, 3, 4):
+            with worker_pool(workers) as pool:
+                assert map_reduce_genus(12, *fold, kernel=kernel, pool=pool) == want
+
 
 class TestSharedPool:
     def test_one_pool_per_table(self, monkeypatch):
@@ -172,8 +196,8 @@ class TestSharedPool:
             return fork()
 
         monkeypatch.setattr(os, "fork", counting_fork)
-        assert build_gmgen_table(range(2, 10), workers=2) == build_gmgen_table(range(2, 10))
-        assert len(forks) == 2  # the two workers of one pool, for all eight rows
+        assert build_gmgen_table(range(2, 10), workers=3) == build_gmgen_table(range(2, 10))
+        assert len(forks) == 2  # one pool for all eight rows; the parent is its third process
 
     def test_pooled_budget_matches_serial(self):
         nodes = [sum(count_by_genus(g)) for g in range(2, 11)]
