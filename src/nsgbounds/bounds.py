@@ -21,16 +21,11 @@ possible (see :func:`differential_sweep`).
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from typing import NamedTuple
 
 from .errors import EmptyIndexSet, SingleGenerator
-from .semigroup import (
-    NumericalSemigroup,
-    TwoGenSemigroup,
-    bit_indices,
-    from_generators,
-    is_member,
-)
+from .semigroup import NumericalSemigroup, TwoGenSemigroup, bit_indices, from_generators
 
 __all__ = [
     "GmMethod",
@@ -62,8 +57,7 @@ class GmMethod(enum.Enum):
     TWO_GEN_CLOSED = "closed"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bounds for one (semigroup, q) pair plus diagnostic flags."""
 
     q: int
@@ -75,8 +69,7 @@ class BoundReport:
     sufficient_condition_holds: bool
 
 
-@dataclass(frozen=True)
-class GenClassification:
+class GenClassification(NamedTuple):
     """Partition of the minimal generators around the 2*l1 - 1 cutoff.
 
     ``reduced_index_set`` holds 1-based generator indices that already
@@ -93,15 +86,15 @@ def _check_q(q: int) -> None:
         raise ValueError("field size parameter q must be positive")
 
 
+_FULL_SEMIGROUP = ("multiplicity 1: every non-negative integer is a member, "
+                   "the bound degenerates to q + 1")
+
+
 def lewittes_bound(S: NumericalSemigroup, q: int) -> int:
     """q * multiplicity + 1."""
     _check_q(q)
     if S.multiplicity == 1:
-        warnings.warn(
-            "multiplicity 1: every non-negative integer is a member, "
-            "the bound degenerates to q + 1",
-            stacklevel=2,
-        )
+        warnings.warn(_FULL_SEMIGROUP, stacklevel=2)
     return q * S.multiplicity + 1
 
 
@@ -113,24 +106,25 @@ def serre_bound(g: int, q: int) -> int:
     return q + 1 + g * math.isqrt(4 * q)
 
 
-def _survivor_mask(S: NumericalSemigroup, q: int, chosen: list[int]) -> int:
-    # Scan window [0, q*min(chosen) + conductor): any i at or beyond the
-    # limit has i - q*min(chosen) >= conductor, hence lies in the union.
-    limit = q * min(chosen) + S.conductor
-    mask = (1 << limit) - 1
-    full = S.member_mask(limit)
+def _survivor_mask(S: NumericalSemigroup, q: int, chosen) -> int:
+    # Scan window [0, q*chosen[0] + conductor), chosen ascending: any i at
+    # or beyond the limit has i - q*chosen[0] >= conductor, hence lies in
+    # the union.  ``full`` ends at the limit, so ``full & ~union`` does too.
+    limit = q * chosen[0] + S.conductor
+    full = S.member_bitmap | ((1 << limit) - (1 << S.conductor))
     union = 0
     for g in chosen:
         shift = q * g
-        if shift < limit:
-            union |= (full << shift) & mask
+        if shift >= limit:
+            break
+        union |= full << shift
     return full & ~union
 
 
 def gm_generic(S: NumericalSemigroup, q: int) -> int:
     """Set-difference bound over all minimal generators, by bitset scan."""
     _check_q(q)
-    return _survivor_mask(S, q, list(S.min_generators)).bit_count() + 1
+    return _survivor_mask(S, q, S.min_generators).bit_count() + 1
 
 
 def _index_list(gens, index_set) -> list[int]:
@@ -155,23 +149,21 @@ def gm_set(S: NumericalSemigroup, q: int, index_set=None) -> list[int]:
     return bit_indices(_survivor_mask(S, q, [gens[i - 1] for i in idx]))
 
 
-def _ceil_div(x: int, y: int) -> int:
-    # Exact ceiling for any integer x and positive y.
-    return (x + y - 1) // y
-
-
 def gm_two_gen_sum(S: TwoGenSemigroup, q: int) -> int:
     """Summation form: 1 + sum over n < a of min(q, ceil((q-n)/a) * b).
 
     When q < a the numerator q - n can go non-positive; the ceiling is
-    then 0 and the term vanishes, which is exactly right.
+    then 0 and the term vanishes, which is exactly right.  The loop runs
+    over top = q - n + a - 1, from q (n = a - 1) to q + a - 1 (n = 0), so
+    that each term is top // a * b, capped at q, with no call.
     """
     _check_q(q)
     a, b = S.a, S.b
-    total = 0
-    for n in range(a):
-        total += min(q, _ceil_div(q - n, a) * b)
-    return 1 + total
+    total = 1
+    for top in range(q, q + a):
+        term = top // a * b
+        total += term if term < q else q
+    return total
 
 
 def gm_two_gen_closed(S: TwoGenSemigroup, q: int) -> int:
@@ -182,12 +174,15 @@ def gm_two_gen_closed(S: TwoGenSemigroup, q: int) -> int:
     implemented.
     """
     _check_q(q)
-    a, b = S.a, S.b
-    floor_q = q // a
+    return _gm_closed(S.a, S.b, q)
+
+
+def _gm_closed(a: int, b: int, q: int) -> int:
+    floor_q, r = divmod(q, a)
     if q <= floor_q * b:
         return 1 + q * a
-    r = q % a
-    assert q <= _ceil_div(q, a) * b, "unreachable for a < b"
+    # r > 0 here, since r == 0 gives q = floor_q*a <= floor_q*b
+    assert q <= (floor_q + 1) * b, "unreachable for a < b"
     return 1 + r * q + (a - r) * floor_q * b
 
 
@@ -197,6 +192,10 @@ def coincidence_criterion(S: NumericalSemigroup, q: int) -> bool:
     Equivalent to the set-difference bound collapsing to Lewittes'.
     """
     _check_q(q)
+    return _criterion(S, q)
+
+
+def _criterion(S: NumericalSemigroup, q: int) -> bool:
     gens = S.min_generators
     l1 = gens[0]
     conductor, bitmap = S.conductor, S.member_bitmap
@@ -242,23 +241,16 @@ def classify_generators(S: NumericalSemigroup, q: int) -> GenClassification:
     _check_q(q)
     gens = S.min_generators
     l1 = gens[0]
-    cutoff = 2 * l1 - 1
-    gm = tuple(g for g in gens if g < cutoff)
-    non_gm = tuple(g for g in gens if g >= cutoff)
+    split = bisect_left(gens, 2 * l1 - 1)
     if l1 >= q:
-        reduced = tuple(range(1, len(gens) + 1))
+        j = len(gens)
     else:
-        floor_q = q // l1
-        j = 0
-        for g in gens:
-            if g * floor_q < q:
-                j += 1
-            else:
-                break
-        # j == 0 happens exactly when l1 divides q; {1} still suffices
-        # because then floor(q/l1)*l_i >= q for every i > 1.
-        reduced = tuple(range(1, max(j, 1) + 1))
-    return GenClassification(gm, non_gm, reduced)
+        # the generators with l_i * floor(q/l1) < q, that is with
+        # l_i <= (q - 1) // floor(q/l1); none exactly when l1 divides q,
+        # and {1} still suffices because then floor(q/l1)*l_i >= q for
+        # every i > 1.
+        j = max(bisect_right(gens, (q - 1) // (q // l1)), 1)
+    return GenClassification(gens[:split], gens[split:], tuple(range(1, j + 1)))
 
 
 def verify_index_reduction(S: NumericalSemigroup, q: int, index_set) -> bool:
@@ -269,20 +261,20 @@ def verify_index_reduction(S: NumericalSemigroup, q: int, index_set) -> bool:
     """
     _check_q(q)
     gens = S.min_generators
-    idx = _index_list(gens, index_set)
-    chosen = set(idx)
-    for i in range(1, len(gens) + 1):
-        if i in chosen:
+    chosen = [gens[j - 1] for j in _index_list(gens, index_set)]  # ascending
+    conductor, bitmap = S.conductor, S.member_bitmap
+    for li in gens:
+        if li in chosen:
             continue
-        li = gens[i - 1]
-        if not any(is_member(S, q * (li - gens[j - 1])) for j in idx):
+        for lj in chosen:
+            if lj > li:  # this and every later difference is negative
+                return False
+            d = q * (li - lj)
+            if d >= conductor or bitmap >> d & 1:
+                break
+        else:
             return False
     return True
-
-
-def _two_gen_view(S: NumericalSemigroup) -> TwoGenSemigroup:
-    a, b = S.min_generators
-    return TwoGenSemigroup(a, b)
 
 
 def bound_report(S: NumericalSemigroup, q: int, method: str = "auto",
@@ -294,6 +286,8 @@ def bound_report(S: NumericalSemigroup, q: int, method: str = "auto",
     "sum" and "closed" demand exactly two minimal generators.  On the
     generic path the coincidence criterion short-circuits the scan;
     ``check`` re-verifies whatever was produced against the full scan.
+    A multiplicity-1 semigroup warns as :func:`lewittes_bound` does, the
+    warning attributed to the caller.
     """
     _check_q(q)
     gens = S.min_generators
@@ -302,19 +296,21 @@ def bound_report(S: NumericalSemigroup, q: int, method: str = "auto",
     if method in ("sum", "closed") and len(gens) != 2:
         raise ValueError(f"method={method} requires exactly 2 generators")
 
-    lew = lewittes_bound(S, q)
-    ser = serre_bound(S.genus, q)
-    criterion = coincidence_criterion(S, q)
+    l1 = gens[0]
+    if l1 == 1:
+        warnings.warn(_FULL_SEMIGROUP, stacklevel=2)
+    lew = q * l1 + 1
+    criterion = _criterion(S, q)
 
     if method == "auto":
         method = "closed" if len(gens) == 2 else "generic"
     # the full scan, run once when the generic path or ``check`` needs it
     full = gm_generic(S, q) if check or (method == "generic" and not criterion) else None
     if method == "closed":
-        gm = gm_two_gen_closed(_two_gen_view(S), q)
+        gm = _gm_closed(*gens, q)
         gm_method = GmMethod.TWO_GEN_CLOSED
     elif method == "sum":
-        gm = gm_two_gen_sum(_two_gen_view(S), q)
+        gm = gm_two_gen_sum(TwoGenSemigroup(*gens), q)
         gm_method = GmMethod.TWO_GEN_SUM
     else:
         gm = lew if criterion else full
@@ -323,18 +319,15 @@ def bound_report(S: NumericalSemigroup, q: int, method: str = "auto",
         raise AssertionError(f"set-difference re-verification failed: {gm} != {full}")
 
     assert gm <= lew, "set-difference bound exceeded the multiplicity bound"
-    try:
-        sufficient = sufficient_condition(S, q)
-    except SingleGenerator:
-        sufficient = False
     return BoundReport(
         q=q,
         lewittes=lew,
-        serre=ser,
+        serre=q + 1 + S.genus * math.isqrt(4 * q),
         gm=gm,
         gm_method=gm_method,
         coincide=(gm == lew),
-        sufficient_condition_holds=sufficient,
+        # sufficient_condition, False without a second generator
+        sufficient_condition_holds=len(gens) > 1 and q <= (q // l1) * gens[1],
     )
 
 

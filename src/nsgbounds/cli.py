@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from functools import partial
 
 from .bounds import (
@@ -176,7 +177,11 @@ def _cmd_bounds(args, parser) -> int:
     if args.method in ("sum", "closed") and len(S.min_generators) != 2:
         parser.error(f"--method {args.method} requires exactly 2 minimal generators "
                      f"(got {list(S.min_generators)})")
-    report = bound_report(S, args.q, method=args.method, check=args.check)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = bound_report(S, args.q, method=args.method, check=args.check)
+    for warning in caught:  # one line each, not Python's source excerpt
+        print(f"nsgbounds: warning: {warning.message}", file=sys.stderr)
     cls = classify_generators(S, args.q)
     if args.format == "json":
         print(json.dumps({

@@ -20,7 +20,7 @@ reductions return the canonical representative in [0, modulus).
 
 import math
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import EmptyInput, NonCoprimeGenerators
 
@@ -46,21 +46,22 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(NamedTuple):
     """Canonical finite description of a numerical semigroup.
 
     ``member_bitmap`` has bit i set iff i is a member, for
     0 <= i < conductor; membership at or above the conductor is
-    implicit.  Instances are immutable and safe to share across threads
-    and processes.  Build them with :func:`from_generators`; the raw
+    implicit.  Instances are immutable named tuples, safe to share
+    across threads and processes: unpacking and ``len`` work as for a
+    tuple, but ``x in S`` is membership of the integer x, not tuple
+    containment.  Build them with :func:`from_generators`; the raw
     constructor trusts its arguments.
     """
 
     min_generators: tuple[int, ...]
     conductor: int
     genus: int
-    member_bitmap: int = field(repr=False)
+    member_bitmap: int
 
     @property
     def multiplicity(self) -> int:
@@ -89,6 +90,10 @@ class NumericalSemigroup:
 
     def __contains__(self, x: int) -> bool:
         return is_member(self, x)
+
+    def __repr__(self) -> str:  # the bitmap is as wide as the conductor
+        return (f"NumericalSemigroup(min_generators={self.min_generators!r}, "
+                f"conductor={self.conductor!r}, genus={self.genus!r})")
 
 
 def _closure(gens: list[int], window: int) -> int:
@@ -189,26 +194,38 @@ def is_member(S: NumericalSemigroup, x: int) -> bool:
     return (S.member_bitmap >> x) & 1 == 1
 
 
-@dataclass(frozen=True)
-class TwoGenSemigroup:
+class _TwoGenFields(NamedTuple):
+    a: int
+    b: int
+    c: int
+
+
+class TwoGenSemigroup(_TwoGenFields):
     """Semigroup generated by two coprime integers 2 <= a < b.
 
+    An immutable named tuple (a, b, c), built as ``TwoGenSemigroup(a, b)``:
     ``c`` is the inverse of b modulo a, precomputed so that membership
     and the unique representation are O(1).
     """
 
-    a: int
-    b: int
-    c: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 2:
+    def __new__(cls, a: int, b: int):
+        if a < 2:
             raise ValueError("smaller generator must be at least 2")
-        if self.b <= self.a:
+        if b <= a:
             raise ValueError("generators must satisfy a < b")
-        if math.gcd(self.a, self.b) != 1:
-            raise NonCoprimeGenerators(f"gcd({self.a}, {self.b}) exceeds 1")
-        object.__setattr__(self, "c", pow(self.b, -1, self.a))
+        if math.gcd(a, b) != 1:
+            raise NonCoprimeGenerators(f"gcd({a}, {b}) exceeds 1")
+        return super().__new__(cls, a, b, pow(b, -1, a))
+
+    def __getnewargs__(self):  # pickle rebuilds through __new__(a, b)
+        return self[:2]
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates and re-derives c
+        a, b, _ = iterable
+        return cls(a, b)
 
     @property
     def genus(self) -> int:

@@ -14,10 +14,10 @@ Every tally is an exact integer or Fraction; rendering to two decimals
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from importlib import resources
+from typing import NamedTuple
 
 from .bounds import coincidence_criterion, gm_generic
 from .enumeration import (
@@ -73,8 +73,7 @@ def format_percent_cell(num: int, den: int) -> str:
     return "100" if num == den else render_percent(num, den)
 
 
-@dataclass(frozen=True)
-class LgmTableRow:
+class LgmTableRow(NamedTuple):
     genus: int
     population: int
     per_q_coincide: dict[int, int]  # q -> semigroups counted, out of population
@@ -83,8 +82,7 @@ class LgmTableRow:
     mismatches: tuple  # (q, generators) where the selfcheck disagreed
 
 
-@dataclass(frozen=True)
-class GmGenTableRow:
+class GmGenTableRow(NamedTuple):
     genus: int
     population: int
     gm_gen_total: int

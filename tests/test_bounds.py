@@ -95,7 +95,7 @@ class TestGmForms:
         assert gm_generic(S57, 2) == 5
 
     def test_three_way_equivalence_sample(self):
-        qs = (2, 3, 9, 16, 256)
+        qs = (1, 2, 3, 4, 9, 16, 20, 256)
         for a in range(2, 21):
             for b in range(a + 1, 21):
                 if math.gcd(a, b) != 1:
@@ -320,6 +320,12 @@ class TestBoundReport:
             bound_report(S578, 9, method="closed")
         with pytest.raises(ValueError):
             bound_report(S578, 9, method="bogus")
+
+    def test_full_semigroup_warns_at_the_caller(self):
+        with pytest.warns(UserWarning, match="multiplicity 1") as record:
+            rep = bound_report(from_generators([1]), 3)
+        assert rep.lewittes == rep.gm == 4 and rep.coincide
+        assert [w.filename for w in record] == [__file__]
 
     def test_check_mode_on_shortcut(self):
         rep = bound_report(S578, 9, method="generic", check=True)

@@ -77,6 +77,12 @@ class TestBounds:
         assert payload["serre"] == 5
         assert payload["gm_generators"] == [2] and payload["non_gm_generators"] == [3]
 
+    def test_full_semigroup_warns_in_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--gens", "1", "--q", "3")
+        assert code == EXIT_OK and "lewittes : 4" in out
+        assert err == ("nsgbounds: warning: multiplicity 1: every non-negative integer "
+                       "is a member, the bound degenerates to q + 1\n")
+
     def test_closed_rejected_for_three_generators(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["bounds", "--gens", "5,7,18", "--q", "9", "--method", "closed"])
@@ -401,6 +407,16 @@ class TestTable:
 
 
 class TestConsoleEntry:
+    def test_import_skips_dataclasses(self):
+        # -S keeps site hooks from importing anything for the package
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, nsgbounds.cli; print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nsgbounds", "member", "--gens", "2,3",

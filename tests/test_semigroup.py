@@ -1,6 +1,7 @@
 """Construction, canonicalization and membership tests."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +12,10 @@ from nsgbounds import (
     NonCoprimeGenerators,
     NumericalSemigroup,
     TwoGenSemigroup,
+    bound_report,
+    build_gmgen_table,
+    build_lgm_table,
+    classify_generators,
     from_generators,
     is_member,
     is_member_consecutive,
@@ -253,3 +258,72 @@ class TestConsecutive:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             is_member_consecutive(1, 10)
+
+
+# Two equal values of each immutable result type, built independently.
+VALUE_TYPES = {
+    "NumericalSemigroup": lambda: from_generators([5, 7, 18]),
+    "TwoGenSemigroup": lambda: TwoGenSemigroup(5, 7),
+    "BoundReport": lambda: bound_report(from_generators([5, 7, 18]), 9),
+    "GenClassification": lambda: classify_generators(from_generators([5, 7, 18]), 9),
+    "LgmTableRow": lambda: build_lgm_table(range(4, 5), (2, 3))[0],
+    "GmGenTableRow": lambda: build_gmgen_table(range(4, 5))[0],
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_immutable(self, name):
+        value = VALUE_TYPES[name]()
+        assert type(value).__name__ == name
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], 0)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_equality_hash_and_pickle_by_value(self, name):
+        one, two = VALUE_TYPES[name](), VALUE_TYPES[name]()
+        assert one == two and one is not two
+        if name == "LgmTableRow":  # its per-q dicts are unhashable, as they always were
+            with pytest.raises(TypeError):
+                hash(one)
+        else:
+            assert hash(one) == hash(two)
+        copy = pickle.loads(pickle.dumps(one))
+        assert copy == one and type(copy) is type(one)
+
+    def test_unequal_values(self):
+        S = from_generators([5, 7, 18])
+        assert bound_report(S, 9) != bound_report(S, 16)
+        assert TwoGenSemigroup(5, 7) != TwoGenSemigroup(5, 8)
+        assert from_generators([5, 7]) != S
+
+    def test_in_is_membership(self):
+        S = from_generators([5, 7, 18])
+        assert 17 in S
+        assert 16 not in S
+        # <2, 3> is the tuple ((2, 3), 2, 1, 1): 1 is a field but a gap
+        T = from_generators([2, 3])
+        assert 1 in tuple(T) and 1 not in T
+        assert 1 not in TwoGenSemigroup(2, 3)
+        with pytest.raises(TypeError):  # tuple containment would find the field
+            (5, 7, 18) in S
+
+    def test_two_gen_construction(self):
+        for a, b in coprime_pairs(12, 20):
+            T = TwoGenSemigroup(a, b)
+            assert T == (a, b, pow(b, -1, a)) and T.c == pow(b, -1, a)
+            assert TwoGenSemigroup(b=b, a=a) == T
+            a2, b2, c2 = T
+            assert (a2, b2, c2) == (a, b, T.c) and len(T) == 3
+        with pytest.raises(TypeError):
+            TwoGenSemigroup(5, 7, 3)  # c is derived, never given
+        assert TwoGenSemigroup(5, 7)._replace(b=9) == TwoGenSemigroup(5, 9) == (5, 9, 4)
+        with pytest.raises(NonCoprimeGenerators):
+            TwoGenSemigroup(5, 7)._replace(b=10)
+        with pytest.raises(NonCoprimeGenerators):
+            TwoGenSemigroup(6, 9)
+        for a, b in ((1, 5), (7, 5), (5, 5), (0, 1)):
+            with pytest.raises(ValueError):
+                TwoGenSemigroup(a, b)
