@@ -38,6 +38,7 @@ EXIT_MISMATCH = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 EXIT_OSERR = 71  # a pool worker could not start, or died
+EXIT_IOERR = 74  # stdout or --out could not be written
 
 TABLE_Q = (2, 3, 9, 16, 256)  # the lgm table's q values without --q
 
@@ -244,14 +245,19 @@ def _render_table(kind, rows, q_list, fmt, truncated=False):
     return out
 
 
-def _read_reference(kind, path) -> str:
-    """The ``--reference`` CSV, parsed so that a bad one fails before the walk."""
+def _read_reference(kind, path, genus: range) -> str:
+    """The ``--reference`` CSV, parsed so that a bad one fails before the walk.
+
+    One that shares no genus with ``genus`` would compare nothing, so it
+    fails too.
+    """
     if path == "auto":
         text = load_reference(kind)
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    _parse_table_csv(text)
+    if not any(g in genus for g in _parse_table_csv(text)[1]):
+        raise ValueError(f"shares no genus with --genus {genus.start}..{genus.stop - 1}")
     return text
 
 
@@ -270,8 +276,9 @@ def _cmd_table(args, parser) -> int:
         parser.error("--seed applies with --selfcheck only")
     q_list = TABLE_Q if args.q is None else args.q
     try:
-        worker_pool(workers)  # forks nothing, but raises where the platform cannot
-        ref_text = None if args.reference is None else _read_reference(args.kind, args.reference)
+        worker_pool(workers, None)  # forks nothing, but raises where the platform cannot
+        ref_text = (None if args.reference is None
+                    else _read_reference(args.kind, args.reference, args.genus))
         out = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
                else contextlib.nullcontext(sys.stdout))
     except (OSError, NsgError) as exc:
@@ -329,19 +336,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "member":
-            return _cmd_member(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "table":
-            return _cmd_table(args, parser)
+            code = _cmd_member(args)
+        elif args.command == "bounds":
+            code = _cmd_bounds(args, parser)
+        elif args.command == "verify":
+            code = _cmd_verify(args)
+        else:
+            code = _cmd_table(args, parser)
+        sys.stdout.flush()  # so that a write error shows here, not at exit
     except ResourceLimit as exc:
         print(f"nsgbounds: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:
         return EXIT_OK
-    raise AssertionError("unreachable")
+    except OSError as exc:  # stdout or --out refused a write; the commands raise no other
+        print(f"nsgbounds: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IOERR
+    return code
 
 
 def entry() -> None:

@@ -48,25 +48,24 @@ table; either way the unit tallies are merged in unit order, and the
 row's node budget is checked after each unit, so an overrun stops the
 row one unit after it happens.
 
-The pool for ``workers`` processes forks ``workers`` - 1 of them up
-front; the parent is the last one.  All of them take units from one
-shared queue, a pipe made before the forks whose read end is
-non-blocking.  For each row the parent writes one fixed-size (row,
-unit index) record per unit into the queue, and only then sends each
-worker the row's task list, one length-prefixed pickle over the
-worker's own task pipe.  A worker takes records, one non-blocking read
-each, until the queue is empty, answers each unit over its own result
-pipe, and then blocks on its task pipe again; a record of a later row
-that it takes after its own row is done waits for that row's list.
-Between results the parent takes units and folds them itself, and
-waits on the result pipes with ``select.poll`` only when the queue is
-empty.  So no unit waits for a hand-out, and no thread is started.  A
-fold that stops early (an overrun or a worker's exception) first
-drains the queue and collects the units the workers took, so the pool
-is idle again for the next row; a worker that dies stops the pool.
-Each worker closes the pipe ends it inherits from the ones forked before
-it, and the queue's write end, so only the parent can write a worker's
-tasks or the queue, and a worker that reads EOF exits.
+The pool for ``workers`` processes forks ``workers`` - 1 of them when
+its ``with`` block is entered, each already holding the fold's leaf
+function and kernel; the parent is the last one.  All of them take
+units from one shared queue, a pipe made before the forks with
+non-blocking ends.  A fixed-size record names a unit as (genus, unit
+index, unit budget), and each process finds the unit in its own cached
+``_spine_split(genus)``, so only records and unit results, pickled over
+a result pipe per worker, cross between processes.  The parent queues a
+row's records, topping the queue up as they are taken; a worker waits
+on the queue with ``poll`` and answers each unit it takes.  Between
+results the parent takes units and folds them itself, and waits on the
+result pipes only when the queue is empty.  So no unit waits for a
+hand-out, and no thread is started.  A fold that stops early (an
+overrun or a worker's exception) first drains the queue and collects the
+units the workers took, so the pool is idle again for the next row; a
+worker that dies stops the pool.  Each worker closes the result pipes it
+inherits from the ones forked before it, and the queue's write end, so
+only the parent can write the queue, and a worker that reads EOF exits.
 
 Child expansion is all bitwise.  The effective generators are the set
 bits of gens_mask above the Frobenius number.  Removing one, lam, gives
@@ -97,7 +96,7 @@ import pickle
 import select
 import signal
 import struct
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .errors import NsgError, ResourceLimit
@@ -332,15 +331,21 @@ def _add_times(add_fn, acc, value, count: int):
     return acc
 
 
-def _fold_subtree(args, tally=None):
-    """Walk one unit; returns (tally, nodes walked), counting into ``tally`` if given."""
-    node, target, map_fn, kernel, budget = args
+def _fold_unit(record, map_fn, kernel, tally=None):
+    """Walk the unit that a (genus, unit index, unit budget) record names.
+
+    The unit is ``_spine_split(genus)``'s, so every process, worker or
+    parent, finds the same one.  Returns (tally, nodes walked), counting
+    into ``tally`` if given.
+    """
+    g, i, budget = record
     if tally is None:
         tally = {}
-    return tally, sum(_walk(node, target, budget, map_fn, tally, kernel))
+    return tally, sum(_walk(_spine_split(g)[1][i], g, budget, map_fn, tally, kernel))
 
 
-def _spine_split(g: int) -> tuple[int, list[tuple]]:
+@lru_cache(maxsize=1)  # per process: the units of the row it folds
+def _spine_split(g: int) -> tuple[int, tuple]:
     """Split the walk to genus ``g`` into units along the ordinary spine.
 
     Returns (spine, units): the number of spine nodes expanded here, and
@@ -355,26 +360,21 @@ def _spine_split(g: int) -> tuple[int, list[tuple]]:
         spine += 1
         units += rest
     units.append(node)
-    return spine, units
+    return spine, tuple(units)
 
 
-# A queue record: the row's number and a unit index, two unsigned 32-bit ints.
-_RECORD = struct.Struct("=II")
-# Records one row may queue: 16 KiB, the default capacity of a pipe on
-# macOS (Linux gives 64 KiB), so that the parent's queue write never
-# blocks.
-_QUEUE_RECORDS = 16384 // _RECORD.size
+# A queue record: the genus, the unit's index and its node budget, which
+# is signed, since a row whose spine alone overruns leaves it negative.
+_RECORD = struct.Struct("=IIq")
+# The largest queue write: whole records, at most PIPE_BUF bytes, which a
+# pipe writes at once or not at all.
+_BATCH = select.PIPE_BUF - select.PIPE_BUF % _RECORD.size
 
 
-def _pack(obj) -> bytes:
-    """``obj`` as a pickle behind its 8-byte length."""
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` to ``fd`` as a pickle behind its 8-byte length."""
     data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    return len(data).to_bytes(8, "little") + data
-
-
-def _send(fd: int, data: bytes) -> None:
-    """Write all of ``data`` to ``fd``."""
-    view = memoryview(data)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
     while view:
         view = view[os.write(fd, view):]
 
@@ -391,22 +391,25 @@ def _read(fd: int, size: int) -> bytes:
 
 
 def _recv(fd: int):
-    """The next message ``_pack`` made and ``_send`` wrote to ``fd``."""
+    """The next object ``_send`` wrote to ``fd``."""
     return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
 
 
 def _take(queue: int):
-    """The next (row, unit) record of the non-blocking ``queue``, or None if it is empty.
+    """The next record of the non-blocking ``queue``, or None if it is empty.
 
-    Every write to the queue is a whole number of records of at most
-    PIPE_BUF bytes, which a pipe writes at once, and every read asks for
-    one record, so a read never returns part of one.
+    Raises EOFError once it is empty and its write end closed.  Every
+    write to the queue is a whole number of records of at most PIPE_BUF
+    bytes, which a pipe writes at once, and every read asks for one
+    record, so a read never returns part of one.
     """
     try:
         record = os.read(queue, _RECORD.size)
     except BlockingIOError:
         return None
-    return _RECORD.unpack(record) if record else None  # b"": the parent closed it
+    if not record:
+        raise EOFError
+    return _RECORD.unpack(record)
 
 
 def _apply(fn, task) -> tuple:
@@ -417,68 +420,61 @@ def _apply(fn, task) -> tuple:
         return False, exc
 
 
-def _serve(tasks: int, results: int, queue: int) -> None:
-    """A worker's loop: fold the units it takes from the queue, one answer each.
+def _serve(queue: int, results: int, fold) -> None:
+    """A worker's loop: fold the records it takes from the queue, one answer each.
 
-    Each message on ``tasks`` is a row's (row, fn, task list).  The worker
-    then takes records from ``queue`` until it is empty, and answers the
-    record (row, i) with (i, ok, value) from ``_apply(fn, task list[i])``.
-    A record of a later row, which the parent may queue as soon as this
-    row's units are all answered, is held until that row's list arrives;
-    the lists of rows it missed meanwhile are dropped.  The worker leaves
-    through ``os._exit`` when its task pipe reads EOF, or on any failure
-    of its own, so it never runs the parent's cleanup.
+    The worker waits on ``queue`` with ``poll``, and answers the record
+    (genus, i, budget) with (i, ok, value) from ``_apply(fold, record)``
+    over ``results``; a record another process took first is not waited
+    for.  It leaves through ``os._exit`` when the queue reads EOF, or on
+    any failure of its own, so it never runs the parent's cleanup.
     """
     status = 1
-    held = None
     try:
+        waiting = select.poll()
+        waiting.register(queue, select.POLLIN)
         while True:
+            waiting.poll()
             try:
-                row, fn, units = _recv(tasks)
+                record = _take(queue)
             except EOFError:
                 status = 0
                 break
-            if held is not None and held[0] != row:
+            if record is None:  # another process took it first
                 continue
-            while True:
-                record, held = held or _take(queue), None
-                if record is None:
-                    break
-                if record[0] != row:
-                    held = record
-                    break
-                i = record[1]
-                try:
-                    reply = _pack((i, *_apply(fn, units[i])))
-                except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                    reply = _pack((i, False, NsgError(f"a pool worker's result does "
-                                                      f"not pickle: {exc}")))
-                _send(results, reply)
+            i = record[1]
+            try:
+                _send(results, (i, *_apply(fold, record)))
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                _send(results, (i, False, NsgError(f"a pool worker's result does "
+                                                   f"not pickle: {exc}")))
     finally:
         os._exit(status)
 
 
 class _ForkPool:
-    """Forked worker processes that fold units from one queue with the parent.
+    """Forked worker processes that fold queued units with the parent.
 
-    Each worker has a task pipe and a result pipe; all of them, and the
-    parent, take units from one queue pipe.  No thread is started: the
+    Each worker is forked holding the pool's fold, ``_fold_unit`` bound to
+    its ``map_fn`` and ``kernel``, and a result pipe; all of them, and the
+    parent, take records from one queue pipe.  No thread is started: the
     caller's thread folds units between reading results, and waits on the
     result pipes with ``select.poll`` only when the queue is empty.
     """
 
-    def __init__(self, workers: int):
+    def __init__(self, workers: int, map_fn, kernel):
+        self.callables = (map_fn, kernel)
+        self._fold = partial(_fold_unit, map_fn=map_fn, kernel=kernel)
         self._size = workers - 1  # the parent folds too
-        self._workers = []  # (pid, task pipe write end, result pipe read end)
+        self._workers = []  # (pid, result pipe read end)
         self._queue = None  # (read end, write end)
         self._results = select.poll()  # not select.select, which fails on fds >= 1024
-        self._row = 0
         self._frozen = False
 
     @property
     def pids(self) -> tuple[int, ...]:
         """Process ids of the running workers."""
-        return tuple(pid for pid, _, _ in self._workers)
+        return tuple(pid for pid, _ in self._workers)
 
     def __enter__(self):
         # Frozen objects are left alone by the workers' collections, so a
@@ -488,9 +484,13 @@ class _ForkPool:
             gc.freeze()
         try:
             self._queue = os.pipe()
-            os.set_blocking(self._queue[0], False)
+            for fd in self._queue:
+                os.set_blocking(fd, False)
             for _ in range(self._size):
                 self._fork()
+        except OSError as exc:  # no pipe, or no fork
+            self._stop(kill=True)
+            raise NsgError(f"cannot start a pool worker: {exc}") from None
         except BaseException:
             self._stop(kill=True)
             raise
@@ -500,103 +500,92 @@ class _ForkPool:
         self._stop(kill=exc_type is not None)
 
     def _fork(self) -> None:
-        task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
         try:
             pid = os.fork()
-        except OSError as exc:
-            for fd in (task_r, task_w, result_r, result_w):
-                os.close(fd)
-            raise NsgError(f"cannot start a pool worker: {exc}") from None
+        except OSError:
+            os.close(result_r)
+            os.close(result_w)
+            raise
         if pid == 0:
             try:
-                # Only the parent may hold a task pipe's or the queue's write
-                # end, so that every worker reads EOF when the parent dies.
-                for _, task, result in self._workers:
-                    os.close(task)
+                # Only the parent may hold the queue's write end, so that
+                # every worker reads EOF when the parent dies, and a worker
+                # holds no other worker's result pipe.
+                for _, result in self._workers:
                     os.close(result)
-                os.close(task_w)
                 os.close(result_r)
                 os.close(self._queue[1])
-                _serve(task_r, result_w, self._queue[0])
+                _serve(self._queue[0], result_w, self._fold)
             finally:
                 os._exit(1)
-        self._workers.append((pid, task_w, result_r))
+        self._workers.append((pid, result_r))
         self._results.register(result_r, select.POLLIN)
-        os.close(task_r)
         os.close(result_w)
 
     def _stop(self, kill: bool) -> None:
-        """Stop every worker and reap it, then close the queue.
+        """Stop every worker and reap it.
 
-        Closing the pipes lets an idle worker read EOF; ``kill`` sends
+        Closing the queue lets an idle worker read EOF; ``kill`` sends
         SIGKILL first instead.  Without ``kill``, a worker that did not
         exit cleanly raises NsgError once all are reaped.
         """
         workers, self._workers = self._workers, []
-        for pid, task, result in workers:
+        for pid, result in workers:
             if kill:
                 os.kill(pid, signal.SIGKILL)
             self._results.unregister(result)
-            os.close(task)
             os.close(result)
-        failed = [pid for pid, _, _ in workers if os.waitpid(pid, 0)[1]]
         if self._queue is not None:
             for fd in self._queue:
                 os.close(fd)
             self._queue = None
+        failed = [pid for pid, _ in workers if os.waitpid(pid, 0)[1]]
         if self._frozen:
             gc.unfreeze()
             self._frozen = False
         if failed and not kill:
             raise NsgError(f"pool worker {failed[0]} exited before the pool closed")
 
-    def imap(self, fn, tasks: list):
-        """``fn(task)`` for each task in order, computed by the workers and the parent.
+    def fold(self, g: int, count: int, budget: int):
+        """(tally, nodes walked) of each of the ``count`` units of genus ``g``, in order.
 
-        The units go into the queue as (row, index) records before any
-        worker gets the row's task list, so a worker that takes a record
-        has its list or is about to get it.  The queue is empty when a
-        row starts, and a row may queue at most ``_QUEUE_RECORDS`` (2,048)
-        records, 16 KiB, so the write never blocks; a genus-60 row has
-        1,654 units.  Between reading results, the parent takes units and
-        computes them itself.  An exception from ``fn`` is raised here in
-        its task's turn, and closing the iterator early is allowed; either
-        way the queue is drained and the units already taken are waited
-        for first, so the pool is idle for its next call.  A worker that
-        dies raises NsgError, and that or any other exception here stops
-        the pool.
+        Each unit is queued as the record (g, index, ``budget``), the
+        budget at most 2**63 - 1, and folded by whichever process takes
+        it, the parent too.  The queue's write end is non-blocking, and the
+        parent tops it up in whole writes of up to PIPE_BUF bytes as
+        records are taken, so a row may have more units than a pipe holds.
+        An exception from a unit is raised here in its unit's turn, and
+        closing the iterator early is allowed; either way the queue is
+        drained and the units already taken are waited for first, so the
+        pool is idle for its next row.  A worker that dies raises
+        NsgError, and that or any other exception here stops the pool.
         """
         if not self._workers:
             raise NsgError("the worker pool is not running")
-        if len(tasks) > _QUEUE_RECORDS:
-            raise NsgError(f"{len(tasks)} units are more than the pool's queue holds "
-                           f"({_QUEUE_RECORDS})")
-        self._row += 1
         queue_r, queue_w = self._queue
-        records = b"".join(_RECORD.pack(self._row, i) for i in range(len(tasks)))
-        step = select.PIPE_BUF - select.PIPE_BUF % _RECORD.size
-        for start in range(0, len(records), step):
-            os.write(queue_w, records[start:start + step])
-        message = _pack((self._row, fn, tasks))
+        budget = min(budget, (1 << 63) - 1)
+        records = memoryview(b"".join(_RECORD.pack(g, i, budget) for i in range(count)))
+        sent = 0  # bytes of ``records`` written to the queue
+        got = 0  # units folded here or answered
         done = {}  # unit index -> (ok, result or exception)
-        left = len(tasks)  # units neither computed here nor answered
         try:
-            for pid, task, _ in self._workers:
-                self._call(pid, _send, task, message)
-            for i in range(len(tasks)):
+            for i in range(count):
                 while i not in done:
+                    if sent < len(records):
+                        with contextlib.suppress(BlockingIOError):  # the queue is full
+                            sent += os.write(queue_w, records[sent:sent + _BATCH])
                     ready = self._results.poll(0)
                     if not ready:
                         record = _take(queue_r)
                         if record is not None:
-                            left -= 1
-                            done[record[1]] = _apply(fn, tasks[record[1]])
+                            got += 1
+                            done[record[1]] = _apply(self._fold, record)
                             continue
-                        ready = self._results.poll()
+                        ready = self._results.poll()  # a worker holds a unit
                     for fd, _ in ready:
-                        j, *answer = self._call(self._pid(fd), _recv, fd)
-                        left -= 1
+                        j, *answer = self._answer(fd)
+                        got += 1
                         done[j] = answer
                 ok, result = done.pop(i)
                 if not ok:
@@ -605,60 +594,58 @@ class _ForkPool:
             else:
                 return
         except GeneratorExit:
-            self._settle(left)
+            self._settle(sent // _RECORD.size - got)
             raise
         except BaseException:
             self._stop(kill=True)
             raise
-        self._settle(left)
+        self._settle(sent // _RECORD.size - got)
         raise result
 
-    def _settle(self, left: int) -> None:
+    def _settle(self, out: int) -> None:
         """Drain the queue, then wait for the units the workers took and drop them."""
         if not self._workers:  # the pool was stopped since
             return
         while _take(self._queue[0]) is not None:
-            left -= 1
-        while left:
+            out -= 1
+        while out:
             for fd, _ in self._results.poll():
-                self._call(self._pid(fd), _recv, fd)
-                left -= 1
+                self._answer(fd)
+                out -= 1
 
-    def _pid(self, fd: int) -> int:
-        """The worker whose result pipe is ``fd``."""
-        return next(pid for pid, _, result in self._workers if result == fd)
-
-    def _call(self, pid: int, io, *args):
-        """``io(*args)`` on a pipe of worker ``pid``; if it died, stop the pool."""
+    def _answer(self, fd: int):
+        """The next answer on the result pipe ``fd``; if its worker died, stop the pool."""
         try:
-            return io(*args)
-        except (EOFError, BrokenPipeError):
+            return _recv(fd)
+        except EOFError:
+            pid = next(pid for pid, result in self._workers if result == fd)
             self._stop(kill=True)
             raise NsgError(f"pool worker {pid} exited before it answered") from None
 
 
-def worker_pool(workers: int):
-    """The pool ``map_reduce_genus`` takes, as a context manager.
+def worker_pool(workers: int, map_fn, kernel=None):
+    """A pool that folds ``map_fn`` and ``kernel`` for ``map_reduce_genus``.
 
-    It gives None when ``workers`` <= 1.  Otherwise entering it forks
-    ``workers`` - 1 processes, and they and the calling process fold the
-    units, so ``workers`` processes fold in all.  The workers share the
-    parent's imported code, so only the tasks and their results cross, as
-    pickles over a pipe pair per worker, and the units to fold are taken
-    from one queue pipe; no thread is started.  The garbage collector is
-    frozen while the pool is open, unless something else froze it first.
-    Leaving the pool normally closes the pipes, so each worker reads EOF
-    and exits, and a worker that did not exit cleanly raises NsgError;
-    leaving it on any exception, KeyboardInterrupt too, kills the
-    workers.  Either way every worker is reaped before the block ends.
-    Raises NsgError at the call, before anything is forked, when the
-    platform cannot fork.
+    The pool is a context manager, None when ``workers`` <= 1.  Otherwise
+    entering it forks ``workers`` - 1 processes, and they and the calling
+    process fold the units.  The workers hold ``map_fn`` and ``kernel`` as
+    they were when the block was entered, so these may be any callables,
+    lambdas and closures too.  Only queue records and unit results, the
+    results pickled, cross between processes; no thread is started.  The
+    garbage collector is frozen while the pool is open, unless something
+    else froze it first.  Leaving the pool normally closes the queue, so
+    each worker reads EOF and exits, and a worker that did not exit
+    cleanly raises NsgError; leaving it on any exception, KeyboardInterrupt
+    too, kills the workers.  Either way every worker is reaped before the
+    block ends.  A worker that cannot be started raises NsgError on entry,
+    and so does the call, before anything is forked, where the platform
+    cannot fork.
     """
     if workers <= 1:
         return contextlib.nullcontext()
     if not hasattr(os, "fork"):
         raise NsgError("workers > 1 needs 'fork', which this platform lacks")
-    return _ForkPool(workers)
+    return _ForkPool(workers, map_fn, kernel)
 
 
 def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
@@ -695,41 +682,35 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     The walk is split along the ordinary-semigroup spine (see the module
     docstring) and each unit is tallied on its own: in this process, or,
     when ``pool`` (a pool from ``worker_pool``) is given, by the pool's
-    workers and this process, which take the units from one queue; the
-    workers receive the units as raw node tuples and send back their
-    tallies.  Tallies are merged in unit order, so the aggregate and the
-    number of nodes walked do not depend on the pool.  Each unit walks
-    under the budget left after the spine, and the running total is
-    checked after every unit, so ResourceLimit is raised exactly when the
-    walk needs more than ``node_budget`` nodes, at most one unit after the
-    budget is crossed; with a pool, the queue is drained then, and the
-    units the workers took are waited for, so the pool can fold the next
-    row.
+    workers and this process, which take the units from one queue and
+    find them by genus and index; the workers send back their tallies.
+    Tallies are merged in unit order, so the aggregate and the number of
+    nodes walked do not depend on the pool.  Each unit walks under the
+    budget left after the spine, and the running total is checked after
+    every unit, so ResourceLimit is raised exactly when the walk needs
+    more than ``node_budget`` nodes, at most one unit after the budget is
+    crossed; with a pool, the queue is drained then, and the units the
+    workers took are waited for, so the pool can fold the next row.
 
-    With a pool, ``map_fn`` and ``kernel`` must be picklable (module-level
-    functions or partials of them, not lambdas or nested functions),
-    since they are sent to the workers; NsgError is raised otherwise,
-    before any unit is sent.  ``add_fn`` and ``zero`` stay in this
-    process and may be anything.  An exception that ``map_fn`` or
-    ``kernel`` raises in a worker is raised here, and a worker that dies
-    raises NsgError.
+    A pool folds the ``map_fn`` and ``kernel`` it was made with, so
+    ValueError is raised, before any unit is queued, if these are others.
+    ``add_fn`` and ``zero`` stay in this process and may be anything.  An
+    exception that ``map_fn`` or ``kernel`` raises in a worker is raised
+    here, and a worker that dies raises NsgError.
 
     Returns (aggregate, nodes_walked).
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
+    if pool is not None and pool.callables != (map_fn, kernel):
+        raise ValueError("the pool was made for another map_fn or kernel")
     spine, units = _spine_split(g)
-    tasks = [(u, g, map_fn, kernel, node_budget - spine) for u in units]
+    budget = node_budget - spine
     tally = {}
     if pool is None:  # every unit counts straight into ``tally``
-        parts = (_fold_subtree(task, tally) for task in tasks)
+        parts = (_fold_unit((g, i, budget), map_fn, kernel, tally) for i in range(len(units)))
     else:
-        try:
-            pickle.dumps((map_fn, kernel))
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise NsgError(f"a pooled fold needs a picklable map_fn and kernel, such "
-                           f"as module-level functions: {exc}") from None
-        parts = pool.imap(_fold_subtree, tasks)
+        parts = pool.fold(g, len(units), budget)
     total = spine
     get = tally.get
     try:

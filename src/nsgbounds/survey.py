@@ -188,8 +188,8 @@ def _lgm_checked_leaf(q_list, rule, leaf):
 
 # Per-process memo of ``_lgm_kernel``, one dict per q_list: the sufficient
 # flags per (l1, l2), and the value tuple per set of coincidence and
-# sufficient flags.  It lives here and not in the kernel's partial, which
-# a pooled fold pickles with every task.
+# sufficient flags.  Every process fills its own: a pool's workers start
+# from the parent's entries at the fork, and no entry crosses a pipe.
 _LGM_MEMO = {}
 
 
@@ -341,10 +341,11 @@ def _build_rows(genus_range, map_fn, kernel, zero, make_row, workers,
                 node_budget) -> list:
     """``make_row(g, aggregate)`` per genus, all rows sharing one node budget.
 
-    With ``workers`` > 1 one process pool serves every row.  On
-    ResourceLimit the finished rows go out as its ``partial``."""
+    With ``workers`` > 1 one process pool, forked with this fold, serves
+    every row.  On ResourceLimit the finished rows go out as its
+    ``partial``."""
     rows = []
-    with worker_pool(workers) as pool:
+    with worker_pool(workers, map_fn, kernel) as pool:
         for g in genus_range:
             try:
                 acc, nodes = map_reduce_genus(g, map_fn, zero, node_budget=node_budget,

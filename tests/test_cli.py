@@ -11,6 +11,7 @@ import pytest
 from nsgbounds import build_gmgen_table, build_lgm_table, cli, enumeration, survey
 from nsgbounds.cli import (
     EXIT_MISMATCH,
+    EXIT_IOERR,
     EXIT_OK,
     EXIT_OSERR,
     EXIT_RESOURCE,
@@ -186,6 +187,19 @@ class TestUsageErrors:
                                  "--reference", str(path))
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("nsgbounds: ") and err.count("\n") == 1
+
+    def test_reference_sharing_no_genus_fails_before_the_walk(self, capsys, monkeypatch):
+        # the bundled references start at genus 2, so 0..1 would compare nothing
+        monkeypatch.setattr(cli, "build_gmgen_table", self._no_walk)
+        code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "0..1",
+                                 "--reference", "auto")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "nsgbounds: reference auto: shares no genus with --genus 0..1\n"
+        monkeypatch.undo()
+        code, _, err = run_cli(capsys, "table", "gmgens", "--genus", "0..3",
+                               "--reference", "auto")  # the rows both tables have
+        assert code == EXIT_OK
+        assert err == "reference match: 10 cells within one ulp\n"
 
     def test_bad_out_fails_before_the_walk(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "missing" / "t.csv"
@@ -404,6 +418,26 @@ class TestTable:
         lines = err.splitlines()
         assert lines and all(ln.startswith("SELFCHECK MISMATCH genus=") for ln in lines)
         assert len(lines) % 2 == 0  # every sampled semigroup fails for both q
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestWriteErrors:
+    def test_verify_to_a_full_stdout(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nsgbounds", "verify", "--a-max", "5", "--b-max", "10"],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == EXIT_IOERR
+        assert proc.stderr.startswith("nsgbounds: cannot write output: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_table_out_to_a_full_device(self, capsys):
+        code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "2..4",
+                                 "--out", "/dev/full")
+        assert code == EXIT_IOERR and out == ""
+        assert err.startswith("nsgbounds: cannot write output: ") and err.count("\n") == 1
 
 
 class TestConsoleEntry:

@@ -20,21 +20,20 @@ from nsgbounds import (
     root_node,
     worker_pool,
 )
+from nsgbounds import enumeration
 from nsgbounds.enumeration import (
-    _QUEUE_RECORDS,
     _RECORD,
     _add_times,
     _expand,
-    _fold_subtree,
+    _fold_unit,
     _node,
-    _pack,
     _per_leaf,
     _raw,
     _recv,
     _root,
-    _send,
     _serve,
     _spine_split,
+    _take,
     _walk,
     tuple_add,
 )
@@ -218,22 +217,41 @@ class TestMapReduce:
 
     def test_workers_do_not_change_result(self):
         serial, serial_nodes = map_reduce_genus(8, _gens_fingerprint, (0, 0, 0))
-        with worker_pool(2) as pool:
+        with worker_pool(2, _gens_fingerprint) as pool:
             parallel, parallel_nodes = map_reduce_genus(8, _gens_fingerprint, (0, 0, 0),
                                                         pool=pool)
         assert serial == parallel
         assert serial_nodes == parallel_nodes
 
-    # only map_fn crosses to the workers, so only it must pickle
-    @pytest.mark.parametrize("slot", ["map_fn"])
-    def test_parallel_rejects_unpicklable_callback(self, slot):
-        with pytest.raises(NsgError, match=slot):
-            with worker_pool(2) as pool:
-                map_reduce_genus(8, lambda leaf: (1,), (0,), pool=pool)
+    def test_pooled_fold_takes_a_lambda_and_a_closure(self):
+        # the workers are forked holding the fold, so nothing of it is pickled
+        weight = 3
+
+        def kernel(parent):
+            return [((1, weight * value[1]), count)
+                    for value, count in _per_leaf(_gens_fingerprint, parent)]
+
+        map_fn = lambda leaf: (1, weight * _gens_fingerprint(leaf)[1])  # noqa: E731
+        serial = map_reduce_genus(11, map_fn, (0, 0), kernel=kernel)
+        with worker_pool(2, map_fn, kernel) as pool:
+            assert map_reduce_genus(11, map_fn, (0, 0), kernel=kernel, pool=pool) == serial
+        assert serial[0] == (A007323[11], 3 * map_reduce_genus(11, _gens_fingerprint,
+                                                                (0, 0, 0))[0][1])
+
+    def test_a_pool_refuses_other_callables(self):
+        with worker_pool(2, _one) as pool:
+            results = [fd for _, fd in pool._workers]
+            for map_fn, kernel in ((_gens_fingerprint, None),
+                                   (_one, partial(_per_leaf, _one))):
+                with pytest.raises(ValueError, match="another map_fn or kernel"):
+                    map_reduce_genus(8, map_fn, (0,), kernel=kernel, pool=pool)
+                assert _take(pool._queue[0]) is None  # no record was queued
+                assert select.select(results, [], [], 0.1)[0] == []
+            assert map_reduce_genus(8, _one, (0,), pool=pool) == map_reduce_genus(8, _one, (0,))
 
     def test_pooled_fold_takes_a_lambda_merge(self):
         serial = map_reduce_genus(9, _gens_fingerprint, (0, 0, 0))
-        with worker_pool(2) as pool:
+        with worker_pool(2, _gens_fingerprint) as pool:
             merged = map_reduce_genus(9, _gens_fingerprint, (0, 0, 0),
                                       lambda x, y: tuple(a + b for a, b in zip(x, y)),
                                       pool=pool)
@@ -243,40 +261,34 @@ class TestMapReduce:
         kernel = partial(_per_leaf, _gens_fingerprint)
         want = map_reduce_genus(10, _gens_fingerprint, (0, 0, 0))
         assert map_reduce_genus(10, _gens_fingerprint, (0, 0, 0), kernel=kernel) == want
-        with worker_pool(2) as pool:
+        with worker_pool(2, _gens_fingerprint, kernel) as pool:
             assert map_reduce_genus(10, _gens_fingerprint, (0, 0, 0), kernel=kernel,
                                     pool=pool) == want
 
-    def test_parallel_rejects_unpicklable_kernel(self):
-        with pytest.raises(NsgError, match="kernel"):
-            with worker_pool(2) as pool:
-                map_reduce_genus(8, _one, (0,), pool=pool,
-                                 kernel=lambda parent: _per_leaf(_one, parent))
-
     def test_parallel_budget_enforced(self):
         with pytest.raises(ResourceLimit):
-            with worker_pool(2) as pool:
+            with worker_pool(2, _one) as pool:
                 map_reduce_genus(8, _one, (0,), pool=pool, node_budget=20)
 
     def test_pooled_overrun_leaves_no_unit_in_flight(self):
         # a unit left in the queue or still in flight would be folded, or
         # answer, into the next fold
-        with worker_pool(3) as pool:
-            pipes = [fd for _, _, fd in pool._workers] + [pool._queue[0]]
+        with worker_pool(3, _fail_past_12) as pool:
+            pipes = [fd for _, fd in pool._workers] + [pool._queue[0]]
             # a unit alone overruns 200; half the row overruns only in the
             # parent's running total, with units still queued or in flight;
-            # _fail raises in every unit
-            for map_fn, budget, exc in ((_one, 200, ResourceLimit),
-                                        (_one, sum(A007323[:13]) // 2, ResourceLimit),
-                                        (_fail, 10 ** 6, ValueError)):
+            # a genus-13 row raises in every unit
+            for g, budget, exc in ((12, 200, ResourceLimit),
+                                   (12, sum(A007323[:13]) // 2, ResourceLimit),
+                                   (13, 10 ** 6, ValueError)):
                 with pytest.raises(exc) as stopped:  # keeps the fold's frame alive
-                    map_reduce_genus(12, map_fn, (0,), pool=pool, node_budget=budget)
+                    map_reduce_genus(g, _fail_past_12, (0,), pool=pool, node_budget=budget)
                 assert select.select(pipes, [], [], 0.5)[0] == [], stopped
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_boundary(self, workers):
         n = sum(count_by_genus(8))
-        with worker_pool(workers) as pool:
+        with worker_pool(workers, _one) as pool:
             assert map_reduce_genus(8, _one, (0,), node_budget=n, pool=pool) == ((67,), n)
             with pytest.raises(ResourceLimit):
                 map_reduce_genus(8, _one, (0,), node_budget=n - 1, pool=pool)
@@ -305,15 +317,16 @@ def assert_reaped(pids):
 @pytest.mark.usefixtures("deadline")
 class TestForkPool:
     def test_worker_exception_is_raised_in_the_parent(self):
-        with worker_pool(2) as pool:
+        with worker_pool(2, _fail_past_12) as pool:
             pids = pool.pids
             with pytest.raises(ValueError, match="no leaf"):
-                map_reduce_genus(10, _fail, (0,), pool=pool)
-            assert map_reduce_genus(10, _one, (0,), pool=pool) == map_reduce_genus(10, _one, (0,))
+                map_reduce_genus(13, _fail_past_12, (0,), pool=pool)
+            assert (map_reduce_genus(10, _fail_past_12, (0,), pool=pool)
+                    == map_reduce_genus(10, _one, (0,)))
         assert_reaped(pids)
 
     def test_dead_worker_is_an_error(self):
-        with worker_pool(3) as pool:
+        with worker_pool(3, _one) as pool:
             pids = pool.pids
             os.kill(pids[0], signal.SIGKILL)
             os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
@@ -326,97 +339,107 @@ class TestForkPool:
     def test_fewer_units_than_processes(self):
         # genus 0..3 rows have one unit each, and four processes fold them;
         # one pool serves every row, so a late worker may meet later rows
-        with worker_pool(4) as pool:
+        with worker_pool(4, _gens_fingerprint) as pool:
             for g in range(13):
                 want = map_reduce_genus(g, _gens_fingerprint, (0, 0, 0))
                 assert map_reduce_genus(g, _gens_fingerprint, (0, 0, 0), pool=pool) == want
         assert [len(_spine_split(g)[1]) for g in range(4)] == [1, 1, 1, 1]
 
-    def test_a_late_worker_folds_a_later_unit_with_its_own_row(self):
-        # a worker on row 1 takes a record of row 3: it drops row 2's list
-        # and folds the unit with row 3's
+    def test_a_worker_folds_the_units_of_each_record_genus(self):
+        # the records of two rows, interleaved: each names a unit of its own genus
+        records = sorted(((g, i, 10 ** 6) for g in (9, 11)
+                          for i in range(len(_spine_split(g)[1]))), key=lambda r: r[1])
         queue_r, queue_w = os.pipe()
         os.set_blocking(queue_r, False)
-        task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
-        os.write(queue_w, _RECORD.pack(3, 1))
-        for row in (1, 2, 3):
-            _send(task_w, _pack((row, str.upper, [f"row {row} unit 0", f"row {row} unit 1"])))
+        os.write(queue_w, b"".join(_RECORD.pack(*record) for record in records))
+        os.close(queue_w)  # the worker reads EOF once the queue is empty
         pid = os.fork()
         if pid == 0:
             try:
-                for fd in (task_w, result_r, queue_w):
-                    os.close(fd)
-                _serve(task_r, result_w, queue_r)
+                os.close(result_r)
+                _serve(queue_r, result_w, partial(_fold_unit, map_fn=_gens_fingerprint,
+                                                  kernel=None))
             finally:
                 os._exit(1)
-        for fd in (task_r, result_w, queue_r):
+        for fd in (queue_r, result_w):
             os.close(fd)
-        assert _recv(result_r) == (1, True, "ROW 3 UNIT 1")
-        os.close(task_w)  # the worker reads EOF and exits cleanly
+        leaves = {9: 0, 11: 0}
+        for g, i, budget in records:
+            answer = _recv(result_r)
+            assert answer == (i, True, _fold_unit((g, i, budget), _gens_fingerprint, None))
+            leaves[g] += sum(answer[2][0].values())
+        assert leaves == {9: A007323[9], 11: A007323[11]}
         assert os.waitpid(pid, 0)[1] == 0
         os.close(result_r)
-        os.close(queue_w)
 
-    def test_a_row_larger_than_the_queue_is_refused(self):
-        with worker_pool(2) as pool:
-            with pytest.raises(NsgError, match="queue"):
-                list(pool.imap(str.upper, ["x"] * (_QUEUE_RECORDS + 1)))
-            assert list(pool.imap(str.upper, ["x"] * _QUEUE_RECORDS)) == ["X"] * _QUEUE_RECORDS
+    def test_a_row_larger_than_the_queue_overruns_as_in_one_process(self):
+        # genus 100 has 4,754 units: 76 KB of records, more than a 64 KiB
+        # pipe holds, and its spine alone overruns a budget of 10
+        assert len(_spine_split(100)[1]) * _RECORD.size > 65536
+        with pytest.raises(ResourceLimit):
+            map_reduce_genus(100, _one, (0,), node_budget=10)
+        with worker_pool(2, _one) as pool:
+            with pytest.raises(ResourceLimit):
+                map_reduce_genus(100, _one, (0,), node_budget=10, pool=pool)
+            assert map_reduce_genus(10, _one, (0,), pool=pool) == map_reduce_genus(10, _one, (0,))
+
+    def test_a_row_larger_than_the_queue_is_folded_in_order(self, monkeypatch):
+        # every node of genus 15, then of genus 14, as a unit of a genus-15
+        # row: 4,550 units, 73 KB of records, more than a 64 KiB pipe holds;
+        # the merged list of leaves shows the order the units were merged in
+        units = []
+        for g in (15, 14):
+            _walk(_root(15), g, 10 ** 6, units.append)
+        monkeypatch.setattr(enumeration, "_spine_split", lambda g: (0, tuple(units)))
+        want = map_reduce_genus(15, _gens_list, (0, ()))
+        assert want == ((2 * A007323[15], want[0][1]), len(units) + A007323[15])
+        with worker_pool(3, _gens_list) as pool:
+            assert map_reduce_genus(15, _gens_list, (0, ()), pool=pool) == want
 
     def test_overrun_then_a_good_fold(self):
         want = map_reduce_genus(12, _gens_fingerprint, (0, 0, 0))
-        with worker_pool(2) as pool:
+        with worker_pool(2, _gens_fingerprint) as pool:
             pids = pool.pids
             with pytest.raises(ResourceLimit):
-                map_reduce_genus(12, _one, (0,), pool=pool, node_budget=200)
+                map_reduce_genus(12, _gens_fingerprint, (0, 0, 0), pool=pool, node_budget=200)
             assert map_reduce_genus(12, _gens_fingerprint, (0, 0, 0), pool=pool) == want
         assert_reaped(pids)
 
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError])
     def test_workers_are_killed_when_the_block_raises(self, exc):
         with pytest.raises(exc):
-            with worker_pool(2) as pool:
+            with worker_pool(2, _one) as pool:
                 pids = pool.pids
-                fold = pool.imap(_fold_subtree, [(_root(14), 14, _one, None, 10 ** 6)] * 8)
+                fold = pool.fold(14, len(_spine_split(14)[1]), 10 ** 6)
                 next(fold)  # the other units are queued or in flight
                 raise exc
         assert_reaped(pids)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_each_worker_holds_only_its_own_pipes(self):
-        # so that a dying parent leaves every worker reading EOF
-        with worker_pool(4) as pool:
-            answered = set()
-            while answered != set(pool.pids):  # every worker has started
-                answered.update(pool.imap(_slow_pid, range(12)))
-                answered.discard(os.getpid())
-            owner = {os.fstat(fd).st_ino: pid
-                     for pid, task, result in pool._workers for fd in (task, result)}
+        # so that a dying parent leaves every worker reading EOF; a worker
+        # has no task pipe, since it is forked holding its fold
+        inherited = _pipe_ends(os.getpid())
+        with worker_pool(4, _slow_pid) as pool:
+            folded = set()
+            while not folded >= set(pool.pids):  # every worker has started
+                folded |= map_reduce_genus(7, _slow_pid, frozenset(), frozenset.union,
+                                           pool=pool)[0]
             queue = os.fstat(pool._queue[0]).st_ino
-            for pid in pool.pids:
-                fds = f"/proc/{pid}/fd"
-                held = {fd: os.stat(os.path.join(fds, fd)).st_ino for fd in os.listdir(fds)}
-                assert {ino for ino in owner if ino in held.values()} == {
-                    ino for ino, worker in owner.items() if worker == pid}
-                # both ends of a pipe share its inode, so tell them apart by access mode
-                modes = set()
-                for fd, ino in held.items():
-                    if ino == queue:
-                        with open(f"/proc/{pid}/fdinfo/{fd}") as info:
-                            flags = next(ln for ln in info if ln.startswith("flags:"))
-                        modes.add(int(flags.split()[1], 8) & 3)
-                assert modes == {os.O_RDONLY}
+            for pid, result in pool._workers:
+                assert _pipe_ends(pid) - inherited == {(os.fstat(result).st_ino, os.O_WRONLY),
+                                                       (queue, os.O_RDONLY)}
 
     def test_gc_is_frozen_only_while_the_pool_is_open(self):
         gc.unfreeze()  # whatever an earlier test left frozen
-        with worker_pool(2):
+        with worker_pool(2, _one):
             assert gc.get_freeze_count()
         assert gc.get_freeze_count() == 0
         gc.freeze()  # frozen by someone else: the pool leaves it as it is
         try:
             frozen = gc.get_freeze_count()
-            with worker_pool(2):
+            with worker_pool(2, _one):
                 pass
             assert gc.get_freeze_count() == frozen
         finally:
@@ -505,13 +528,38 @@ def _one(S):
     return (1,)
 
 
-def _fail(leaf):
-    raise ValueError("no leaf wanted")
+def _fail_past_12(leaf):
+    if leaf[2] > 12:
+        raise ValueError("no leaf wanted")
+    return (1,)
 
 
-def _slow_pid(task):
-    time.sleep(0.01)
-    return os.getpid()
+def _slow_pid(leaf):
+    time.sleep(0.001)
+    return frozenset({os.getpid()})
+
+
+def _gens_list(leaf):
+    return (1, (tuple(bit_indices(leaf[3])),))
+
+
+def _pipe_ends(pid):
+    """(inode, access mode) of every pipe end that process ``pid`` holds.
+
+    Both ends of a pipe share its inode, so the access mode tells them apart.
+    """
+    ends = set()
+    fds = f"/proc/{pid}/fd"
+    for fd in os.listdir(fds):
+        try:
+            if not os.readlink(os.path.join(fds, fd)).startswith("pipe:"):
+                continue
+            with open(f"/proc/{pid}/fdinfo/{fd}") as info:
+                flags = next(ln for ln in info if ln.startswith("flags:"))
+            ends.add((os.stat(os.path.join(fds, fd)).st_ino, int(flags.split()[1], 8) & 3))
+        except FileNotFoundError:  # closed while listed
+            continue
+    return ends
 
 
 def _gens_fingerprint(leaf):

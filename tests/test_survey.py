@@ -182,7 +182,7 @@ class TestDeterminismAcrossWorkers:
         want = map_reduce_genus(12, *fold, kernel=kernel)
         assert kind == "gmgens" or len(want[0][-1]) > 100  # (q, generators) mismatches
         for workers in (2, 3, 4):
-            with worker_pool(workers) as pool:
+            with worker_pool(workers, fold[0], kernel) as pool:
                 assert map_reduce_genus(12, *fold, kernel=kernel, pool=pool) == want
 
 
