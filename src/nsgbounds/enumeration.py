@@ -446,8 +446,8 @@ def _serve(queue: int, results: int, fold) -> None:
             try:
                 _send(results, (i, *_apply(fold, record)))
             except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                _send(results, (i, False, NsgError(f"a pool worker's result does "
-                                                   f"not pickle: {exc}")))
+                _send(results, (i, False, NsgError(f"a pool worker's result of map_fn "
+                                                   f"or kernel does not pickle: {exc}")))
     finally:
         os._exit(status)
 

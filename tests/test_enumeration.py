@@ -238,6 +238,18 @@ class TestMapReduce:
         assert serial[0] == (A007323[11], 3 * map_reduce_genus(11, _gens_fingerprint,
                                                                 (0, 0, 0))[0][1])
 
+    # the callables themselves need not pickle, but what they return in a
+    # worker must, to cross back to the parent
+    @pytest.mark.parametrize("slot", ["map_fn"])
+    def test_parallel_rejects_unpicklable_callback(self, slot):
+        value = _in_workers_unpicklable()
+        _assert_pooled_fold_rejects(slot, lambda leaf: value(), None)
+
+    def test_parallel_rejects_unpicklable_kernel(self):
+        value = _in_workers_unpicklable()
+        _assert_pooled_fold_rejects("kernel", _one, lambda parent: [
+            (value(), count) for _, count in _per_leaf(_one, parent)])
+
     def test_a_pool_refuses_other_callables(self):
         with worker_pool(2, _one) as pool:
             results = [fd for _, fd in pool._workers]
@@ -532,6 +544,33 @@ def _fail_past_12(leaf):
     if leaf[2] > 12:
         raise ValueError("no leaf wanted")
     return (1,)
+
+
+def _in_workers_unpicklable():
+    """A value maker: (1,) in this process, after a pause that lets the
+    workers take units, and in a forked worker a value that does not pickle."""
+    parent = os.getpid()
+
+    def value():
+        if os.getpid() == parent:
+            time.sleep(0.001)
+            return (1,)
+        return (lambda: None,)
+    return value
+
+
+def _assert_pooled_fold_rejects(slot, map_fn, kernel):
+    with worker_pool(2, map_fn, kernel) as pool:
+        pids = pool.pids
+        for _ in range(100):  # until a worker folds a unit
+            try:
+                map_reduce_genus(8, map_fn, (0,), kernel=kernel, pool=pool)
+            except NsgError as exc:
+                assert slot in str(exc) and "does not pickle" in str(exc)
+                break
+        else:
+            pytest.fail("no worker folded a unit")
+    assert_reaped(pids)
 
 
 def _slow_pid(leaf):
