@@ -15,7 +15,7 @@ from .bounds import (
     classify_generators,
     differential_sweep,
 )
-from .enumeration import DEFAULT_NODE_BUDGET, worker_pool
+from .enumeration import DEFAULT_NODE_BUDGET, check_fork
 from .errors import NsgError, ResourceLimit
 from .semigroup import TwoGenSemigroup, from_generators, is_member, unique_representation
 from .survey import (
@@ -37,7 +37,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
-EXIT_OSERR = 71  # a pool worker could not start, or died
+EXIT_OSERR = 71  # a pool worker could not start or died, or the pool's pipes failed
 EXIT_IOERR = 74  # stdout or --out could not be written
 
 TABLE_Q = (2, 3, 9, 16, 256)  # the lgm table's q values without --q
@@ -246,11 +246,8 @@ def _render_table(kind, rows, q_list, fmt, truncated=False):
 
 
 def _read_reference(kind, path, genus: range) -> str:
-    """The ``--reference`` CSV, parsed so that a bad one fails before the walk.
-
-    One that shares no genus with ``genus`` would compare nothing, so it
-    fails too.
-    """
+    """The ``--reference`` CSV, parsed so that a bad one, or one that shares
+    no genus with ``genus`` and so would compare nothing, fails before the walk."""
     if path == "auto":
         text = load_reference(kind)
     else:
@@ -276,7 +273,7 @@ def _cmd_table(args, parser) -> int:
         parser.error("--seed applies with --selfcheck only")
     q_list = TABLE_Q if args.q is None else args.q
     try:
-        worker_pool(workers, None)  # forks nothing, but raises where the platform cannot
+        check_fork(workers)
         ref_text = (None if args.reference is None
                     else _read_reference(args.kind, args.reference, args.genus))
         out = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
@@ -348,11 +345,21 @@ def main(argv=None) -> int:
         print(f"nsgbounds: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:
+        _drop_stdout()
         return EXIT_OK
     except OSError as exc:  # stdout or --out refused a write; the commands raise no other
         print(f"nsgbounds: cannot write output: {exc}", file=sys.stderr)
+        _drop_stdout()
         return EXIT_IOERR
     return code
+
+
+def _drop_stdout() -> None:
+    """Point stdout at devnull if it holds bytes it cannot write, which exit would report."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def entry() -> None:

@@ -50,22 +50,13 @@ row one unit after it happens.
 
 The pool for ``workers`` processes forks ``workers`` - 1 of them when
 its ``with`` block is entered, each already holding the fold's leaf
-function and kernel; the parent is the last one.  All of them take
-units from one shared queue, a pipe made before the forks with
-non-blocking ends.  A fixed-size record names a unit as (genus, unit
-index, unit budget), and each process finds the unit in its own cached
-``_spine_split(genus)``, so only records and unit results, pickled over
-a result pipe per worker, cross between processes.  The parent queues a
-row's records, topping the queue up as they are taken; a worker waits
-on the queue with ``poll`` and answers each unit it takes.  Between
-results the parent takes units and folds them itself, and waits on the
-result pipes only when the queue is empty.  So no unit waits for a
-hand-out, and no thread is started.  A fold that stops early (an
-overrun or a worker's exception) first drains the queue and collects the
-units the workers took, so the pool is idle again for the next row; a
-worker that dies stops the pool.  Each worker closes the result pipes it
-inherits from the ones forked before it, and the queue's write end, so
-only the parent can write the queue, and a worker that reads EOF exits.
+function and kernel; the parent folds too.  All of them take units from
+one non-blocking queue pipe, where a fixed-size record names a unit as
+(genus, unit index, unit budget), found in each process's cached
+``_spine_split(genus)``; only records and the pickled unit results cross
+between processes, and no thread is started.  A fold that stops early
+drains the queue and collects the units the workers took, so the pool
+is idle for the next row (see ``_ForkPool``).
 
 Child expansion is all bitwise.  The effective generators are the set
 bits of gens_mask above the Frobenius number.  Removing one, lam, gives
@@ -558,8 +549,9 @@ class _ForkPool:
         An exception from a unit is raised here in its unit's turn, and
         closing the iterator early is allowed; either way the queue is
         drained and the units already taken are waited for first, so the
-        pool is idle for its next row.  A worker that dies raises
-        NsgError, and that or any other exception here stops the pool.
+        pool is idle for its next row.  A worker that dies, or a failed
+        read, write or poll of the pool's pipes, raises NsgError, and that
+        or any other exception here stops the pool.
         """
         if not self._workers:
             raise NsgError("the worker pool is not running")
@@ -590,17 +582,20 @@ class _ForkPool:
                 ok, result = done.pop(i)
                 if not ok:
                     break
-                yield result
+                try:
+                    yield result
+                except GeneratorExit:  # closed early
+                    break
             else:
                 return
-        except GeneratorExit:
             self._settle(sent // _RECORD.size - got)
-            raise
-        except BaseException:
+        except BaseException as exc:
             self._stop(kill=True)
+            if isinstance(exc, OSError):  # a pipe or poll of the pool's own failed
+                raise NsgError(f"the worker pool failed: {exc}") from None
             raise
-        self._settle(sent // _RECORD.size - got)
-        raise result
+        if not ok:
+            raise result
 
     def _settle(self, out: int) -> None:
         """Drain the queue, then wait for the units the workers took and drop them."""
@@ -630,22 +625,23 @@ def worker_pool(workers: int, map_fn, kernel=None):
     entering it forks ``workers`` - 1 processes, and they and the calling
     process fold the units.  The workers hold ``map_fn`` and ``kernel`` as
     they were when the block was entered, so these may be any callables,
-    lambdas and closures too.  Only queue records and unit results, the
-    results pickled, cross between processes; no thread is started.  The
+    lambdas and closures too; only their results must pickle.  The
     garbage collector is frozen while the pool is open, unless something
     else froze it first.  Leaving the pool normally closes the queue, so
     each worker reads EOF and exits, and a worker that did not exit
     cleanly raises NsgError; leaving it on any exception, KeyboardInterrupt
     too, kills the workers.  Either way every worker is reaped before the
     block ends.  A worker that cannot be started raises NsgError on entry,
-    and so does the call, before anything is forked, where the platform
-    cannot fork.
+    and so does the call where the platform cannot fork (``check_fork``).
     """
-    if workers <= 1:
-        return contextlib.nullcontext()
-    if not hasattr(os, "fork"):
+    check_fork(workers)
+    return contextlib.nullcontext() if workers <= 1 else _ForkPool(workers, map_fn, kernel)
+
+
+def check_fork(workers: int) -> None:
+    """Raise NsgError if ``workers`` > 1 and the platform cannot fork."""
+    if workers > 1 and not hasattr(os, "fork"):
         raise NsgError("workers > 1 needs 'fork', which this platform lacks")
-    return _ForkPool(workers, map_fn, kernel)
 
 
 def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,

@@ -420,19 +420,43 @@ class TestTable:
         assert len(lines) % 2 == 0  # every sampled semigroup fails for both q
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
 class TestWriteErrors:
-    def test_verify_to_a_full_stdout(self):
+    @staticmethod
+    def _verify_to(stdout, unbuffered):
+        # a buffered stdout keeps the bytes it could not write, and Python
+        # flushes it again at exit
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "nsgbounds", "verify", "--a-max", "5", "--b-max", "10"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env={**env, "PYTHONPATH": src})
+
+    @needs_dev_full
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_verify_to_a_full_stdout(self, unbuffered):
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "nsgbounds", "verify", "--a-max", "5", "--b-max", "10"],
-                stdout=full, stderr=subprocess.PIPE, text=True,
-                env={**os.environ, "PYTHONPATH": src})
+            proc = self._verify_to(full, unbuffered)
         assert proc.returncode == EXIT_IOERR
         assert proc.stderr.startswith("nsgbounds: cannot write output: ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_verify_to_a_closed_pipe(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._verify_to(write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+
+    @needs_dev_full
     def test_table_out_to_a_full_device(self, capsys):
         code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "2..4",
                                  "--out", "/dev/full")

@@ -1,5 +1,6 @@
 """Tree enumeration: counts, uniqueness, tree structure, budgets."""
 
+import errno
 import gc
 import os
 import select
@@ -346,6 +347,22 @@ class TestForkPool:
                 map_reduce_genus(10, _one, (0,), pool=pool)
             with pytest.raises(NsgError, match="not running"):
                 map_reduce_genus(10, _one, (0,), pool=pool)
+        assert_reaped(pids)
+
+    def test_a_failed_poll_is_an_error_that_stops_the_pool(self):
+        class FailingPoll:  # the pool's own poll of its result pipes fails
+            def __init__(self, real):
+                self.unregister = real.unregister
+
+            def poll(self, *timeout):
+                raise OSError(errno.EIO, "Input/output error")
+
+        with worker_pool(2, _one) as pool:
+            pids = pool.pids
+            pool._results = FailingPoll(pool._results)
+            with pytest.raises(NsgError, match="pool failed: .*Input/output error"):
+                map_reduce_genus(10, _one, (0,), pool=pool)
+            assert pool.pids == ()
         assert_reaped(pids)
 
     def test_fewer_units_than_processes(self):
