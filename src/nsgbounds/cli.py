@@ -38,7 +38,7 @@ EXIT_MISMATCH = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 EXIT_OSERR = 71  # a pool worker could not start or died, or the pool's pipes failed
-EXIT_IOERR = 74  # stdout or --out could not be written
+EXIT_IOERR = 74  # stdout, stderr or --out could not be written
 
 TABLE_Q = (2, 3, 9, 16, 256)  # the lgm table's q values without --q
 
@@ -341,25 +341,24 @@ def main(argv=None) -> int:
         else:
             code = _cmd_table(args, parser)
         sys.stdout.flush()  # so that a write error shows here, not at exit
-    except ResourceLimit as exc:
-        print(f"nsgbounds: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except BrokenPipeError:
-        _drop_stdout()
+        _drop(sys.stdout)
         return EXIT_OK
-    except OSError as exc:  # stdout or --out refused a write; the commands raise no other
-        print(f"nsgbounds: cannot write output: {exc}", file=sys.stderr)
-        _drop_stdout()
+    except OSError as exc:  # stdout, stderr or --out refused a write; the commands raise no other
+        with contextlib.suppress(OSError):  # stderr may be what failed
+            print(f"nsgbounds: cannot write output: {exc}", file=sys.stderr)
+        _drop(sys.stdout)
+        _drop(sys.stderr)
         return EXIT_IOERR
     return code
 
 
-def _drop_stdout() -> None:
-    """Point stdout at devnull if it holds bytes it cannot write, which exit would report."""
+def _drop(stream) -> None:
+    """Point ``stream`` at devnull if it holds bytes it cannot write, which exit would report."""
     try:
-        sys.stdout.flush()
+        stream.flush()
     except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def entry() -> None:

@@ -43,7 +43,7 @@ depth leaves one unit holding almost every node.  ``_spine_split``
 walks the spine down to genus g - 2 and makes each of its other
 children, and its last node, a unit: at genus 17 that is 106 units, the
 largest with 11.7% of the nodes.  A fold walks its units in this
-process, or on a pool from ``worker_pool`` that can serve every row of a
+process, or on a pool from ``worker_pool`` that serves the rows of a
 table; either way the unit tallies are merged in unit order, and the
 row's node budget is checked after each unit, so an overrun stops the
 row one unit after it happens.
@@ -54,9 +54,9 @@ function and kernel; the parent folds too.  All of them take units from
 one non-blocking queue pipe, where a fixed-size record names a unit as
 (genus, unit index, unit budget), found in each process's cached
 ``_spine_split(genus)``; only records and the pickled unit results cross
-between processes, and no thread is started.  A fold that stops early
-drains the queue and collects the units the workers took, so the pool
-is idle for the next row (see ``_ForkPool``).
+between processes, and no thread is started.  A fold that fails or
+stops early kills and reaps the workers, so a pool serves rows only
+until one of them fails (see ``_ForkPool.fold``).
 
 Child expansion is all bitwise.  The effective generators are the set
 bits of gens_mask above the Frobenius number.  Removing one, lam, gives
@@ -546,12 +546,11 @@ class _ForkPool:
         it, the parent too.  The queue's write end is non-blocking, and the
         parent tops it up in whole writes of up to PIPE_BUF bytes as
         records are taken, so a row may have more units than a pipe holds.
-        An exception from a unit is raised here in its unit's turn, and
-        closing the iterator early is allowed; either way the queue is
-        drained and the units already taken are waited for first, so the
-        pool is idle for its next row.  A worker that dies, or a failed
-        read, write or poll of the pool's pipes, raises NsgError, and that
-        or any other exception here stops the pool.
+        An exception from a unit is raised here in its unit's turn.  A
+        worker that dies, or a failed read, write or poll of the pool's
+        pipes, raises NsgError.  A fold that raises, or whose iterator is
+        closed early, stops the pool: its workers are killed and reaped,
+        and a later fold raises NsgError.
         """
         if not self._workers:
             raise NsgError("the worker pool is not running")
@@ -559,7 +558,6 @@ class _ForkPool:
         budget = min(budget, (1 << 63) - 1)
         records = memoryview(b"".join(_RECORD.pack(g, i, budget) for i in range(count)))
         sent = 0  # bytes of ``records`` written to the queue
-        got = 0  # units folded here or answered
         done = {}  # unit index -> (ok, result or exception)
         try:
             for i in range(count):
@@ -571,50 +569,32 @@ class _ForkPool:
                     if not ready:
                         record = _take(queue_r)
                         if record is not None:
-                            got += 1
                             done[record[1]] = _apply(self._fold, record)
                             continue
                         ready = self._results.poll()  # a worker holds a unit
                     for fd, _ in ready:
                         j, *answer = self._answer(fd)
-                        got += 1
                         done[j] = answer
                 ok, result = done.pop(i)
                 if not ok:
                     break
-                try:
-                    yield result
-                except GeneratorExit:  # closed early
-                    break
+                yield result
             else:
                 return
-            self._settle(sent // _RECORD.size - got)
         except BaseException as exc:
             self._stop(kill=True)
             if isinstance(exc, OSError):  # a pipe or poll of the pool's own failed
                 raise NsgError(f"the worker pool failed: {exc}") from None
             raise
-        if not ok:
-            raise result
-
-    def _settle(self, out: int) -> None:
-        """Drain the queue, then wait for the units the workers took and drop them."""
-        if not self._workers:  # the pool was stopped since
-            return
-        while _take(self._queue[0]) is not None:
-            out -= 1
-        while out:
-            for fd, _ in self._results.poll():
-                self._answer(fd)
-                out -= 1
+        self._stop(kill=True)
+        raise result
 
     def _answer(self, fd: int):
-        """The next answer on the result pipe ``fd``; if its worker died, stop the pool."""
+        """The next answer on the result pipe ``fd``; NsgError if its worker died."""
         try:
             return _recv(fd)
         except EOFError:
             pid = next(pid for pid, result in self._workers if result == fd)
-            self._stop(kill=True)
             raise NsgError(f"pool worker {pid} exited before it answered") from None
 
 
@@ -631,8 +611,10 @@ def worker_pool(workers: int, map_fn, kernel=None):
     each worker reads EOF and exits, and a worker that did not exit
     cleanly raises NsgError; leaving it on any exception, KeyboardInterrupt
     too, kills the workers.  Either way every worker is reaped before the
-    block ends.  A worker that cannot be started raises NsgError on entry,
-    and so does the call where the platform cannot fork (``check_fork``).
+    block ends.  A fold that raises, or is closed early, kills and reaps
+    the workers at once, and the pool folds nothing more (NsgError).  A
+    worker that cannot be started raises NsgError on entry, and so does
+    the call where the platform cannot fork (``check_fork``).
     """
     check_fork(workers)
     return contextlib.nullcontext() if workers <= 1 else _ForkPool(workers, map_fn, kernel)
@@ -685,14 +667,14 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     budget left after the spine, and the running total is checked after
     every unit, so ResourceLimit is raised exactly when the walk needs
     more than ``node_budget`` nodes, at most one unit after the budget is
-    crossed; with a pool, the queue is drained then, and the units the
-    workers took are waited for, so the pool can fold the next row.
+    crossed; a pool's workers are killed and reaped before it is raised.
 
     A pool folds the ``map_fn`` and ``kernel`` it was made with, so
     ValueError is raised, before any unit is queued, if these are others.
     ``add_fn`` and ``zero`` stay in this process and may be anything.  An
     exception that ``map_fn`` or ``kernel`` raises in a worker is raised
-    here, and a worker that dies raises NsgError.
+    here in its unit's turn, and a worker that dies raises NsgError; a
+    pool stops on either, as on an overrun.
 
     Returns (aggregate, nodes_walked).
     """
@@ -720,7 +702,7 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     except ResourceLimit:  # one unit alone overran the budget left after the spine
         total = node_budget + 1
     if total > node_budget:
-        parts.close()  # a pool collects the units still in flight
+        parts.close()  # a pool stops its workers
         raise ResourceLimit(f"node budget of {node_budget} exceeded")
     acc = zero
     for value, count in tally.items():

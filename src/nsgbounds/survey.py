@@ -16,7 +16,6 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 from typing import NamedTuple
 
 from .bounds import coincidence_criterion, gm_generic
@@ -566,6 +565,8 @@ def compare_tables(computed_csv: str, reference_csv: str):
 
 def load_reference(kind: str) -> str:
     """Bundled reference CSV for a table kind ("lgm" or "gmgens")."""
+    from importlib import resources  # only a reference run pays for its import
+
     name = {"lgm": "reference_lgm.csv", "gmgens": "reference_gmgens.csv"}[kind]
     return resources.files("nsgbounds").joinpath("data", name).read_text(encoding="utf-8")
 

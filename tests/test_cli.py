@@ -425,16 +425,19 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="nee
 
 class TestWriteErrors:
     @staticmethod
-    def _verify_to(stdout, unbuffered):
-        # a buffered stdout keeps the bytes it could not write, and Python
+    def _run(argv, stdout, stderr, unbuffered):
+        # a buffered stream keeps the bytes it could not write, and Python
         # flushes it again at exit
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        return subprocess.run(
-            [sys.executable, "-m", "nsgbounds", "verify", "--a-max", "5", "--b-max", "10"],
-            stdout=stdout, stderr=subprocess.PIPE, text=True, env={**env, "PYTHONPATH": src})
+        return subprocess.run([sys.executable, "-m", "nsgbounds", *argv], stdout=stdout,
+                              stderr=stderr, text=True, env={**env, "PYTHONPATH": src})
+
+    def _verify_to(self, stdout, unbuffered):
+        return self._run(("verify", "--a-max", "5", "--b-max", "10"), stdout,
+                         subprocess.PIPE, unbuffered)
 
     @needs_dev_full
     @pytest.mark.parametrize("unbuffered", [False, True])
@@ -457,6 +460,19 @@ class TestWriteErrors:
         assert proc.stderr == ""
 
     @needs_dev_full
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--gens", "1", "--q", "3"),  # a warning
+        ("table", "gmgens", "--genus", "2..4", "--reference", "auto"),  # the match line
+        ("table", "gmgens", "--genus", "2..4", "--node-budget", "5"),  # the overrun line
+    ], ids=["warning", "reference", "overrun"])
+    def test_a_full_stderr(self, argv, unbuffered):
+        # the error line cannot be written either, and no traceback is tried
+        with open("/dev/full", "w") as full:
+            proc = self._run(argv, subprocess.DEVNULL, full, unbuffered)
+        assert proc.returncode == EXIT_IOERR
+
+    @needs_dev_full
     def test_table_out_to_a_full_device(self, capsys):
         code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "2..4",
                                  "--out", "/dev/full")
@@ -470,10 +486,11 @@ class TestConsoleEntry:
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
-             "import sys, nsgbounds.cli; print('dataclasses' in sys.modules)"],
+             "import sys, nsgbounds.cli; "
+             "print([m for m in ('dataclasses', 'importlib.resources') if m in sys.modules])"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

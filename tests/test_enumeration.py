@@ -284,19 +284,18 @@ class TestMapReduce:
                 map_reduce_genus(8, _one, (0,), pool=pool, node_budget=20)
 
     def test_pooled_overrun_leaves_no_unit_in_flight(self):
-        # a unit left in the queue or still in flight would be folded, or
-        # answer, into the next fold
-        with worker_pool(3, _fail_past_12) as pool:
-            pipes = [fd for _, fd in pool._workers] + [pool._queue[0]]
-            # a unit alone overruns 200; half the row overruns only in the
-            # parent's running total, with units still queued or in flight;
-            # a genus-13 row raises in every unit
-            for g, budget, exc in ((12, 200, ResourceLimit),
-                                   (12, sum(A007323[:13]) // 2, ResourceLimit),
-                                   (13, 10 ** 6, ValueError)):
+        # a unit alone overruns 200; half the row overruns only in the
+        # parent's running total, with units still queued or in flight;
+        # a genus-13 row raises in every unit.  Each stops its pool before
+        # the fold raises.
+        for g, budget, exc in ((12, 200, ResourceLimit),
+                               (12, sum(A007323[:13]) // 2, ResourceLimit),
+                               (13, 10 ** 6, ValueError)):
+            with worker_pool(3, _fail_past_12) as pool:
+                pids = pool.pids
                 with pytest.raises(exc) as stopped:  # keeps the fold's frame alive
                     map_reduce_genus(g, _fail_past_12, (0,), pool=pool, node_budget=budget)
-                assert select.select(pipes, [], [], 0.5)[0] == [], stopped
+                assert_stopped(pool, pids)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_boundary(self, workers):
@@ -327,16 +326,59 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def assert_stopped(pool, pids):
+    """The pool's workers ``pids`` are reaped, and it folds no more.
+
+    The caller holds the failed fold's exception, and so the fold's frame:
+    the fold stopped the pool itself, not by being closed as garbage.
+    """
+    assert pool.pids == ()
+    assert_reaped(pids)
+    map_fn, kernel = pool.callables
+    with pytest.raises(NsgError, match="not running"):
+        map_reduce_genus(8, map_fn, (0,), kernel=kernel, pool=pool)
+
+
 @pytest.mark.usefixtures("deadline")
 class TestForkPool:
     def test_worker_exception_is_raised_in_the_parent(self):
         with worker_pool(2, _fail_past_12) as pool:
             pids = pool.pids
-            with pytest.raises(ValueError, match="no leaf"):
+            with pytest.raises(ValueError, match="no leaf") as stopped:
                 map_reduce_genus(13, _fail_past_12, (0,), pool=pool)
+            assert_stopped(pool, pids)
+        with worker_pool(2, _fail_past_12) as pool:
             assert (map_reduce_genus(10, _fail_past_12, (0,), pool=pool)
                     == map_reduce_genus(10, _one, (0,)))
-        assert_reaped(pids)
+
+    def test_a_failed_unit_does_not_wait_for_a_stuck_worker(self):
+        # unit 0 of a row holds its one multiplicity-2 leaf, and raises
+        # there once a worker is stuck in a later unit for longer than the
+        # deadline: the fold raises at once and kills that worker
+        parent = os.getpid()
+        stuck_r, stuck_w = os.pipe()
+
+        def map_fn(leaf):
+            if os.getpid() != parent and leaf[4] != 2:
+                os.write(stuck_w, b"x")
+                time.sleep(120)
+            select.select([stuck_r], [], [], 10)  # until a worker is stuck
+            if leaf[4] == 2:
+                raise ValueError("multiplicity 2")
+            return (1,)
+
+        try:
+            with worker_pool(3, map_fn) as pool:
+                pids = pool.pids
+                start = time.monotonic()
+                with pytest.raises(ValueError, match="multiplicity 2") as stopped:
+                    map_reduce_genus(10, map_fn, (0,), pool=pool)
+                assert time.monotonic() - start < 30
+                assert select.select([stuck_r], [], [], 0)[0]  # a worker was stuck
+                assert_stopped(pool, pids)
+        finally:
+            os.close(stuck_r)
+            os.close(stuck_w)
 
     def test_dead_worker_is_an_error(self):
         with worker_pool(3, _one) as pool:
@@ -409,9 +451,10 @@ class TestForkPool:
         with pytest.raises(ResourceLimit):
             map_reduce_genus(100, _one, (0,), node_budget=10)
         with worker_pool(2, _one) as pool:
-            with pytest.raises(ResourceLimit):
+            pids = pool.pids
+            with pytest.raises(ResourceLimit) as stopped:
                 map_reduce_genus(100, _one, (0,), node_budget=10, pool=pool)
-            assert map_reduce_genus(10, _one, (0,), pool=pool) == map_reduce_genus(10, _one, (0,))
+            assert_stopped(pool, pids)
 
     def test_a_row_larger_than_the_queue_is_folded_in_order(self, monkeypatch):
         # every node of genus 15, then of genus 14, as a unit of a genus-15
@@ -430,10 +473,19 @@ class TestForkPool:
         want = map_reduce_genus(12, _gens_fingerprint, (0, 0, 0))
         with worker_pool(2, _gens_fingerprint) as pool:
             pids = pool.pids
-            with pytest.raises(ResourceLimit):
+            with pytest.raises(ResourceLimit) as stopped:
                 map_reduce_genus(12, _gens_fingerprint, (0, 0, 0), pool=pool, node_budget=200)
+            assert_stopped(pool, pids)
+        with worker_pool(2, _gens_fingerprint) as pool:  # the next row takes a fresh pool
             assert map_reduce_genus(12, _gens_fingerprint, (0, 0, 0), pool=pool) == want
-        assert_reaped(pids)
+
+    def test_closing_a_fold_early_stops_the_pool(self):
+        with worker_pool(2, _one) as pool:
+            pids = pool.pids
+            fold = pool.fold(14, len(_spine_split(14)[1]), 10 ** 6)
+            next(fold)  # the other units are queued or in flight
+            fold.close()
+            assert_stopped(pool, pids)
 
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError])
     def test_workers_are_killed_when_the_block_raises(self, exc):
