@@ -245,16 +245,21 @@ def _render_table(kind, rows, q_list, fmt, truncated=False):
     return out
 
 
-def _read_reference(kind, path, genus: range) -> str:
-    """The ``--reference`` CSV, parsed so that a bad one, or one that shares
-    no genus with ``genus`` and so would compare nothing, fails before the walk."""
+def _read_reference(kind, path, genus: range, q_list) -> str:
+    """The ``--reference`` CSV, parsed so that a bad one, or one that shares no
+    genus with ``genus`` or no column with the table and so would compare
+    nothing, fails before the walk."""
     if path == "auto":
         text = load_reference(kind)
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    if not any(g in genus for g in _parse_table_csv(text)[1]):
+    header, rows = _parse_table_csv(text)
+    if not any(g in genus for g in rows):
         raise ValueError(f"shares no genus with --genus {genus.start}..{genus.stop - 1}")
+    columns = _parse_table_csv(_renderer(kind, "csv", q_list)([]))[0]
+    if not set(header[1:]) & set(columns[1:]):
+        raise ValueError(f"shares no column with the {kind} table")
     return text
 
 
@@ -275,7 +280,7 @@ def _cmd_table(args, parser) -> int:
     try:
         check_fork(workers)
         ref_text = (None if args.reference is None
-                    else _read_reference(args.kind, args.reference, args.genus))
+                    else _read_reference(args.kind, args.reference, args.genus, q_list))
         out = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
                else contextlib.nullcontext(sys.stdout))
     except (OSError, NsgError) as exc:

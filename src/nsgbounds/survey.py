@@ -114,7 +114,7 @@ class GmGenTableRow(NamedTuple):
 _UNCHECKED = (0, ())
 
 
-def _lgm_leaf(q_list, leaf):
+def _lgm_leaf(q_list, rule, leaf):
     """Population, coincidence and sufficient-condition flags of a raw leaf.
 
     Coincidence needs q*(l_i - l1) to be a member for every generator
@@ -123,12 +123,24 @@ def _lgm_leaf(q_list, leaf):
     set bits of gens_mask >> l1 + 1 below F//q.  q <= floor(q/l1)*l2
     writes every q*(l_i - l1) as l1*(floor(q/l1)*l_i - q) +
     (q mod l1)*l_i, so it settles q at once.  The value ends with the
-    selfcheck's slots, left at ``_UNCHECKED`` (see ``_lgm_checked_leaf``).
+    selfcheck's slots (checked, mismatches), left at ``_UNCHECKED`` unless
+    the sample ``rule`` (None for no selfcheck) samples the leaf.  A
+    sampled leaf compares the generator criterion with the full
+    set-difference bound against Lewittes' q*l1 + 1 for every q, and
+    lists each q where they disagree as (q, generators).
     """
     bits, frobenius, _, gens, l1, _ = leaf
+    slots = _UNCHECKED
+    if rule is not None:
+        a, b, cut = rule
+        if (a * (bits & ((1 << frobenius + 1) - 1)) + b) % _SAMPLE_PRIME < cut:
+            S = _semigroup(leaf)
+            slots = (1, tuple((q, S.min_generators) for q in q_list
+                              if coincidence_criterion(S, q)
+                              != (gm_generic(S, q) == q * S.multiplicity + 1)))
     above = gens >> l1 + 1
     if not above:  # the full semigroup <1>: no l2, and no generator to scan
-        return (1,) + (1,) * len(q_list) + (0,) * len(q_list) + _UNCHECKED
+        return (1,) + (1,) * len(q_list) + (0,) * len(q_list) + slots
     l2 = l1 + (above & -above).bit_length()
     out = [1]
     sufficient = []
@@ -148,7 +160,7 @@ def _lgm_leaf(q_list, leaf):
             scan ^= low
         out.append(flag)
     out += sufficient
-    out += _UNCHECKED
+    out += slots
     return tuple(out)
 
 
@@ -168,38 +180,16 @@ def _sample_rule(seed: int, sample_rate: float) -> tuple[int, int, int]:
             int(sample_rate * _SAMPLE_PRIME))
 
 
-def _lgm_checked_leaf(q_list, rule, leaf):
-    """``_lgm_leaf``, its slots (checked, mismatches) filled in if the leaf is sampled.
+def _lgm_kernel(q_list, rule, memo, parent):
+    """``_lgm_leaf`` of every child of a raw parent, as (value, count) pairs.
 
-    A sampled leaf compares the generator criterion with the full
-    set-difference bound against Lewittes' q*l1 + 1 for every q, and
-    lists each q where they disagree as (q, generators).
-    """
-    bits, frobenius = leaf[0], leaf[1]
-    a, b, cut = rule
-    if (a * (bits & ((1 << frobenius + 1) - 1)) + b) % _SAMPLE_PRIME >= cut:
-        return _lgm_leaf(q_list, leaf)
-    S = _semigroup(leaf)
-    mismatches = tuple((q, S.min_generators) for q in q_list if coincidence_criterion(S, q)
-                       != (gm_generic(S, q) == q * S.multiplicity + 1))
-    return _lgm_leaf(q_list, leaf)[:-2] + (1, mismatches)
-
-
-# Per-process memo of ``_lgm_kernel``, one dict per q_list: the sufficient
-# flags per (l1, l2), and the value tuple per set of coincidence and
-# sufficient flags.  Every process fills its own: a pool's workers start
-# from the parent's entries at the fork, and no entry crosses a pipe.
-_LGM_MEMO = {}
-
-
-def _lgm_kernel(q_list, rule, parent):
-    """The lgm leaf of every child of a raw parent, as (value, count) pairs.
-
-    The leaf is ``_lgm_checked_leaf`` with a sample ``rule``, else
-    ``_lgm_leaf``.  It is evaluated on a built child only for the child
-    that removes the multiplicity m (of an ordinary parent), the child
-    that removes l2, and the sampled children, in increasing removed
-    generator lam, so the selfcheck's mismatches keep the leaf order.
+    ``memo`` is the table's dict of the sufficient flags per (m, l2) and
+    the value tuple per set of coincidence and sufficient flags; a pool's
+    workers inherit it at the fork and fill their own copies.  The leaf
+    is evaluated on a built child only for the child that removes the
+    multiplicity m (of an ordinary parent), the child that removes l2,
+    and the sampled children, in increasing removed generator lam, so the
+    selfcheck's mismatches keep the leaf order.
     Every other child removes some lam > l2, so it keeps l1 = m, l2 and
     the parent's sufficient flags.  Where those do not settle q, it
     coincides unless a generator l of the child has q*(l - m) <= lam
@@ -237,14 +227,10 @@ def _lgm_kernel(q_list, rule, parent):
     if built:  # the child that removes lam has Frobenius number lam
         for kid in _expand(parent):
             if built >> kid[1] & 1:
-                pairs.append((_lgm_leaf(q_list, kid) if rule is None
-                              else _lgm_checked_leaf(q_list, rule, kid), 1))
+                pairs.append((_lgm_leaf(q_list, rule, kid), 1))
     rest = effective ^ built
     if not rest:
         return pairs
-    memo = _LGM_MEMO.get(q_list)
-    if memo is None:
-        memo = _LGM_MEMO[q_list] = {}
     plan = memo.get((m, l2))
     if plan is None:
         sufficient, open_q = 0, []
@@ -365,8 +351,7 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
 
     With a ``selfcheck_seed`` (a non-negative int), the same fold
     re-verifies the coincidence flags of a seeded ``sample_rate`` share of
-    the leaves (see ``_lgm_checked_leaf``) and each row carries what it
-    checked.
+    the leaves (see ``_lgm_leaf``) and each row carries what it checked.
     """
     q_list = tuple(q_list)
     if not q_list:
@@ -378,13 +363,10 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
     if selfcheck_seed is not None and selfcheck_seed < 0:
         # random.Random seeds by absolute value, so -s would draw the sample of s
         raise ValueError("selfcheck_seed must be non-negative")
+    if not 0 <= sample_rate <= 1:
+        raise ValueError(f"sample_rate must be between 0 and 1, got {sample_rate!r}")
     k = len(q_list)
-    if selfcheck_seed is None:
-        rule = None
-        leaf = partial(_lgm_leaf, q_list)
-    else:
-        rule = _sample_rule(selfcheck_seed, sample_rate)
-        leaf = partial(_lgm_checked_leaf, q_list, rule)
+    rule = None if selfcheck_seed is None else _sample_rule(selfcheck_seed, sample_rate)
 
     def make_row(g, acc):
         checked, mismatches = acc[1 + 2 * k:]
@@ -392,8 +374,9 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
                            dict(zip(q_list, acc[1 + k:1 + 2 * k])), checked, mismatches)
 
     zero = (0,) * (1 + 2 * k) + _UNCHECKED
-    return _build_rows(genus_range, leaf, partial(_lgm_kernel, q_list, rule), zero,
-                       make_row, workers, node_budget)
+    return _build_rows(genus_range, partial(_lgm_leaf, q_list, rule),
+                       partial(_lgm_kernel, q_list, rule, {}), zero, make_row, workers,
+                       node_budget)
 
 
 def build_gmgen_table(genus_range, *, workers: int = 1,

@@ -189,17 +189,31 @@ class TestUsageErrors:
         assert err.startswith("nsgbounds: ") and err.count("\n") == 1
 
     def test_reference_sharing_no_genus_fails_before_the_walk(self, capsys, monkeypatch):
-        # the bundled references start at genus 2, so 0..1 would compare nothing
         monkeypatch.setattr(cli, "build_gmgen_table", self._no_walk)
-        code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "0..1",
-                                 "--reference", "auto")
-        assert code == EXIT_USAGE and out == ""
-        assert err == "nsgbounds: reference auto: shares no genus with --genus 0..1\n"
+        monkeypatch.setattr(cli, "build_lgm_table", self._no_walk)
+        lgm_path = os.path.join(os.path.dirname(cli.__file__), "data", "reference_lgm.csv")
+        for args, reason in [
+            # the bundled references start at genus 2, so 0..1 would compare nothing
+            (("gmgens", "--genus", "0..1", "--reference", "auto"),
+             "auto: shares no genus with --genus 0..1"),
+            # the bundled lgm reference has no q=5 or q=7 column
+            (("lgm", "--genus", "2..5", "--q", "5,7", "--format", "csv", "--reference", "auto"),
+             "auto: shares no column with the lgm table"),
+            (("gmgens", "--genus", "2..4", "--reference", lgm_path),
+             f"{lgm_path}: shares no column with the gmgens table"),
+        ]:
+            code, out, err = run_cli(capsys, "table", *args)
+            assert code == EXIT_USAGE and out == ""
+            assert err == f"nsgbounds: reference {reason}\n"
         monkeypatch.undo()
         code, _, err = run_cli(capsys, "table", "gmgens", "--genus", "0..3",
                                "--reference", "auto")  # the rows both tables have
         assert code == EXIT_OK
         assert err == "reference match: 10 cells within one ulp\n"
+        code, _, err = run_cli(capsys, "table", "lgm", "--genus", "2..12", "--q", "2,5",
+                               "--reference", "auto")  # the columns both tables have
+        assert code == EXIT_OK
+        assert err == "reference match: 22 cells within one ulp\n"
 
     def test_bad_out_fails_before_the_walk(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "missing" / "t.csv"

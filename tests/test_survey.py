@@ -34,7 +34,6 @@ from nsgbounds.survey import (
     load_reference,
     _gmgen_kernel,
     _gmgen_leaf,
-    _lgm_checked_leaf,
     _lgm_kernel,
     _lgm_leaf,
     _sample_rule,
@@ -172,9 +171,9 @@ class TestDeterminismAcrossWorkers:
             monkeypatch.setattr(survey, "coincidence_criterion",
                                 lambda S, q: not criterion(S, q))
             q_list, rule = (2, 9), survey._sample_rule(7, 0.2)
-            fold = (partial(survey._lgm_checked_leaf, q_list, rule),
+            fold = (partial(survey._lgm_leaf, q_list, rule),
                     (0,) * 5 + survey._UNCHECKED)
-            kernel = partial(survey._lgm_kernel, q_list, rule)
+            kernel = partial(survey._lgm_kernel, q_list, rule, {})
         else:
             lcm = math.lcm(*range(1, 14))
             fold = partial(survey._gmgen_leaf, lcm), (0, 0, 0, 0)
@@ -298,6 +297,17 @@ class TestSelfcheck:
         assert [r.checked for r in rows] == [r.population for r in rows]
         assert all(r.mismatches == () for r in rows)
 
+    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
+    def test_sample_rate_outside_0_to_1_is_rejected(self, rate):
+        with pytest.raises(ValueError, match="sample_rate"):
+            build_lgm_table(range(2, 6), (2,), selfcheck_seed=0, sample_rate=rate)
+        with pytest.raises(ValueError, match="sample_rate"):
+            selfcheck_lgm(range(2, 6), (2,), sample_rate=rate)
+
+    def test_zero_rate_checks_no_leaf(self):
+        rows = build_lgm_table(range(0, 10), (2, 3, 9), selfcheck_seed=5, sample_rate=0.0)
+        assert [r.checked for r in rows] == [0] * 10
+
     def test_negative_seed_is_rejected(self):
         # random.Random(-s) would draw the sample of s
         with pytest.raises(ValueError, match="non-negative"):
@@ -342,7 +352,7 @@ class TestLeafKernels:
                 coincide = [int(coincidence_criterion(S, q)) for q in self.Q]
                 sufficient = [int(len(gens) > 1 and sufficient_condition(S, q))
                               for q in self.Q]
-                assert _lgm_leaf(self.Q, leaf) == (1, *coincide, *sufficient, 0, ())
+                assert _lgm_leaf(self.Q, None, leaf) == (1, *coincide, *sufficient, 0, ())
                 cls = classify_generators(S, 2)
                 n_gm, n_non = len(cls.gm_generators), len(cls.non_gm_generators)
                 assert _gmgen_leaf(lcm, leaf) == (1, n_gm, n_non, n_non * (lcm // len(gens)))
@@ -379,13 +389,10 @@ class TestParentKernels:
     def test_lgm_kernel_matches_the_leaves(self, sample_rate):
         rule = None if sample_rate is None else _sample_rule(8, sample_rate)
         sampled = 0
+        memo = {}  # one table's memo, filled across the parents as in a fold
         for parent in _parents(14):
-            kids = _expand(parent)
-            if rule is None:
-                want = _tally((_lgm_leaf(self.Q, kid), 1) for kid in kids)
-            else:
-                want = _tally((_lgm_checked_leaf(self.Q, rule, kid), 1) for kid in kids)
-            assert _tally(_lgm_kernel(self.Q, rule, parent)) == want
+            want = _tally((_lgm_leaf(self.Q, rule, kid), 1) for kid in _expand(parent))
+            assert _tally(_lgm_kernel(self.Q, rule, memo, parent)) == want
             sampled += len(want[1])
         assert (sampled > 1000) == (rule is not None)
 
