@@ -37,7 +37,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
-EXIT_OSERR = 71  # a pool worker could not start or died, or the pool's pipes failed
+EXIT_OSERR = 71  # a pool worker could not start or died, pool pipes failed, or memory ran out
 EXIT_IOERR = 74  # stdout, stderr or --out could not be written
 
 TABLE_Q = (2, 3, 9, 16, 256)  # the lgm table's q values without --q
@@ -337,14 +337,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "member":
-            code = _cmd_member(args)
-        elif args.command == "bounds":
-            code = _cmd_bounds(args, parser)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
-        else:
-            code = _cmd_table(args, parser)
+        try:
+            if args.command == "member":
+                code = _cmd_member(args)
+            elif args.command == "bounds":
+                code = _cmd_bounds(args, parser)
+            elif args.command == "verify":
+                code = _cmd_verify(args)
+            else:
+                code = _cmd_table(args, parser)
+        except MemoryError:  # a scan window too large to allocate, say
+            print("nsgbounds: out of memory", file=sys.stderr)
+            code = EXIT_OSERR
         sys.stdout.flush()  # so that a write error shows here, not at exit
     except BrokenPipeError:
         _drop(sys.stdout)

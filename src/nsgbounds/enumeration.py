@@ -10,14 +10,13 @@ to depth g therefore visits every semigroup of genus g exactly once.
 A walk to genus g keeps its state in a fixed window [0, W),
 W = 3*g + 2 (at least 8), which is enough because a genus-g semigroup
 has conductor at most 2g and minimal generators at most 3g; it also
-keeps every shift of the new-generator test below non-negative.  The
-walk keeps each node as a plain tuple (bits, frobenius, genus, gens_mask, multiplicity, mirror):
-``bits`` has bit x set iff x is a member, ``gens_mask`` has bit x set
-iff x is a minimal generator, and ``mirror`` is ``bits`` reversed in
-the window, bit W - 1 - x set iff x is a member, so that
-W = mirror.bit_length().  The public :class:`TreeNode` is a named tuple
-(bits, frobenius, genus, min_generators, multiplicity) with the
-generators as a tuple, converted at the API boundary.
+keeps every shift of the new-generator test below non-negative.  Every
+node is a plain tuple in :class:`TreeNode` field order (bits, frobenius,
+genus, gens_mask, multiplicity, mirror): ``bits`` has bit x set iff x
+is a member, ``gens_mask`` has bit x set iff x is a minimal generator,
+and ``mirror`` is ``bits`` reversed in the window, bit W - 1 - x set iff
+x is a member, so that W = mirror.bit_length().  ``TreeNode._make(node)``
+names its fields.
 
 ``_walk`` is the one traversal.  It returns the number of nodes it
 touched at each genus, so counting reads its return value, enumeration
@@ -109,13 +108,19 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 
 
 class TreeNode(NamedTuple):
-    """One semigroup as positioned in the enumeration tree."""
+    """One semigroup as positioned in the enumeration tree: the walk's node, named."""
 
     bits: int
     frobenius: int
     genus: int
-    min_generators: tuple[int, ...]
+    gens_mask: int
     multiplicity: int
+    mirror: int
+
+    @property
+    def min_generators(self) -> tuple[int, ...]:
+        """Minimal generators, ascending."""
+        return tuple(bit_indices(self.gens_mask))
 
     @property
     def effective_generators(self) -> tuple[int, ...]:
@@ -123,11 +128,11 @@ class TreeNode(NamedTuple):
         return tuple(g for g in self.min_generators if g > self.frobenius)
 
     def semigroup(self) -> NumericalSemigroup:
-        return _semigroup(_raw(self))
+        return _semigroup(self)
 
 
 def _semigroup(node: tuple) -> NumericalSemigroup:
-    """The NumericalSemigroup of a raw node."""
+    """The NumericalSemigroup of a node."""
     bits, frobenius, genus, gens, _, _ = node
     conductor = frobenius + 1
     return NumericalSemigroup(tuple(bit_indices(gens)), conductor, genus,
@@ -140,33 +145,13 @@ def _root(max_genus: int) -> tuple:
     return (full, -1, 0, 2, 1, full)
 
 
-def _node(raw: tuple) -> TreeNode:
-    """The TreeNode of a raw node."""
-    bits, frobenius, genus, gens, m, _ = raw
-    return TreeNode(bits, frobenius, genus, tuple(bit_indices(gens)), m)
-
-
-def _raw(node: TreeNode) -> tuple:
-    """The raw node of a TreeNode.
-
-    Its window is bits.bit_length() wide, since every bit from the
-    conductor to the top of the window is set, or 3*genus + 5 if that is
-    wider, so that the node's children fit it.
-    """
-    bits = node.bits
-    bits |= (1 << max(bits.bit_length(), 3 * node.genus + 5)) - (1 << node.frobenius + 1)
-    mirror = int(format(bits, "b")[::-1], 2)
-    return (bits, node.frobenius, node.genus, sum(1 << g for g in node.min_generators),
-            node.multiplicity, mirror)
-
-
 def root_node(max_genus: int) -> TreeNode:
     """The full semigroup, with a bit window sized for ``max_genus``."""
-    return _node(_root(max_genus))
+    return TreeNode._make(_root(max_genus))
 
 
 def _expand(node: tuple) -> list[tuple]:
-    """Raw children of a raw node, in increasing removed-generator order."""
+    """Children of a node, as plain tuples, in increasing removed-generator order."""
     bits, frobenius, genus, gens, m, mirror = node
     top = mirror.bit_length() - 1 - m  # mirror bit of x is top + m - x
     genus += 1
@@ -190,7 +175,7 @@ def _expand(node: tuple) -> list[tuple]:
 def _new_generators(node: tuple, mask: int) -> int:
     """The set bits lam of ``mask`` whose child gains the generator lam + m.
 
-    ``mask`` holds effective generators of the raw ``node`` other than its
+    ``mask`` holds effective generators of ``node`` other than its
     multiplicity m; this is the one AND of ``_expand`` per bit.
     """
     bits, _, _, _, m, mirror = node
@@ -212,25 +197,33 @@ def _per_leaf(leaf_fn, parent: tuple) -> list:
 def children(node: TreeNode) -> list[TreeNode]:
     """Child semigroups, in increasing removed-generator order.
 
-    The child that removes the generator lam = min_generators[i] has
-    bits ``node.bits`` with lam cleared, Frobenius number lam, and
-    minimal generators min_generators without lam, followed by lam + m
+    The child that removes the generator lam, a set bit of ``gens_mask``
+    above the Frobenius number, has bits ``node.bits`` with lam cleared,
+    Frobenius number lam, and ``gens_mask`` without lam, plus lam + m
     when that is not a + b for members m < a, b < lam, where m is the
     multiplicity (see the module docstring for the ordinary semigroups,
-    whose child removes m itself).
+    whose child removes m itself).  A node whose window is narrower than
+    3*genus + 5 bits is first widened to that, so that its children's
+    children fit it.
     """
-    return [_node(kid) for kid in _expand(_raw(node))]
+    bits, frobenius, genus, gens, m, mirror = node
+    width = mirror.bit_length()
+    wider = 3 * genus + 5 - width
+    if wider > 0:  # every new bit lies above the conductor, so is a member
+        bits |= (1 << 3 * genus + 5) - (1 << width)
+        mirror = mirror << wider | (1 << wider) - 1
+        node = (bits, frobenius, genus, gens, m, mirror)
+    return [TreeNode._make(kid) for kid in _expand(node)]
 
 
 def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
           tally=None, kernel=None) -> list[int]:
-    """Depth-first walk from the raw node ``start`` down to ``target_genus``.
+    """Depth-first walk from the node ``start`` down to ``target_genus``.
 
-    ``leaf_fn`` (when given) receives each node at the target genus as a
-    raw tuple (bits, frobenius, genus, gens_mask, multiplicity, mirror),
-    children taken in increasing removed-generator order.  With a
-    ``tally`` dict, the walk counts there how many leaves gave each value
-    of ``leaf_fn``.  Returns
+    ``leaf_fn`` (when given) receives each node at the target genus, a
+    plain tuple in ``TreeNode`` field order, children taken in
+    increasing removed-generator order.  With a ``tally`` dict, the walk
+    counts there how many leaves gave each value of ``leaf_fn``.  Returns
     ``sizes``: ``sizes[h]`` is the number of nodes touched at genus h,
     for h in 0..target_genus.
 
@@ -340,7 +333,7 @@ def _spine_split(g: int) -> tuple[int, tuple]:
     """Split the walk to genus ``g`` into units along the ordinary spine.
 
     Returns (spine, units): the number of spine nodes expanded here, and
-    raw nodes whose subtrees, walked to genus ``g``, touch every other
+    nodes whose subtrees, walked to genus ``g``, touch every other
     node of the walk exactly once.
     """
     node = _root(g)
@@ -630,17 +623,13 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
                      node_budget: int = DEFAULT_NODE_BUDGET, pool=None, kernel=None):
     """Fold ``map_fn`` over every semigroup of genus ``g``.
 
-    ``map_fn`` receives each semigroup as the raw leaf tuple of the walk
-    (bits, frobenius, genus, gens_mask, multiplicity, mirror), and
-    returns a hashable value.  ``bits`` has bit x set iff x is a member,
-    ``gens_mask`` bit x iff x is a minimal generator, and ``mirror`` is
-    ``bits`` reversed in the walk's window [0, W), W = 3*g + 2 (at least
-    8): bit W - 1 - x is set iff x is a member, and
-    W = mirror.bit_length().  ``semigroup.bit_indices(gens_mask)`` lists
-    the generators.
+    ``map_fn`` receives each semigroup as the walk's leaf, a plain tuple
+    in ``TreeNode`` field order (see the module docstring; the window is
+    W = 3*g + 2 bits, at least 8), so ``TreeNode._make(leaf)`` reads it,
+    and returns a hashable value.
 
     ``kernel`` (when given) evaluates the leaves a parent at a time: it
-    receives each raw node of genus g - 1 that has children and returns
+    receives each node of genus g - 1 that has children and returns
     (value, count) pairs, with the counts summing to its number of
     children and each child's ``map_fn`` value counted once.  Pairs whose
     values a concatenating slot of ``add_fn`` would order come in the

@@ -251,6 +251,23 @@ class TestUsageErrors:
         assert err.startswith("nsgbounds: ") and err.count("\n") == 1
         assert "pool worker" in err
 
+    # q = 10**17 scans a window of about 3*10**17 bits, more than any
+    # address space holds, so the allocation fails at once
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--gens", "3,5", "--q", str(10 ** 17), "--check"),
+        ("bounds", "--gens", "3,5,7", "--q", str(10 ** 17), "--check"),
+        ("table", "lgm", "--genus", "2..12", "--q", str(10 ** 17), "--selfcheck",
+         "--format", "csv", "--workers", "1"),
+        ("table", "lgm", "--genus", "2..12", "--q", str(10 ** 17), "--selfcheck",
+         "--format", "csv", "--workers", "2"),
+    ], ids=["two-gen", "three-gen", "selfcheck", "pooled-selfcheck"])
+    def test_out_of_memory_is_an_os_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OSERR and out == ""
+        assert err == "nsgbounds: out of memory\n"
+        with pytest.raises(ChildProcessError):  # every pool worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_no_fork_leaves_the_out_file_alone(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "keep.csv"
         target.write_text("genus,old\n")
@@ -479,7 +496,8 @@ class TestWriteErrors:
         ("bounds", "--gens", "1", "--q", "3"),  # a warning
         ("table", "gmgens", "--genus", "2..4", "--reference", "auto"),  # the match line
         ("table", "gmgens", "--genus", "2..4", "--node-budget", "5"),  # the overrun line
-    ], ids=["warning", "reference", "overrun"])
+        ("bounds", "--gens", "3,5", "--q", str(10 ** 17), "--check"),  # out of memory
+    ], ids=["warning", "reference", "overrun", "out-of-memory"])
     def test_a_full_stderr(self, argv, unbuffered):
         # the error line cannot be written either, and no traceback is tried
         with open("/dev/full", "w") as full:

@@ -13,6 +13,7 @@ import pytest
 from nsgbounds import (
     NsgError,
     ResourceLimit,
+    TreeNode,
     children,
     count_by_genus,
     enumerate_genus,
@@ -27,9 +28,7 @@ from nsgbounds.enumeration import (
     _add_times,
     _expand,
     _fold_unit,
-    _node,
     _per_leaf,
-    _raw,
     _recv,
     _root,
     _serve,
@@ -144,6 +143,15 @@ class TestTreeStructure:
         assert child.min_generators == (2, 3)
         assert child.effective_generators == (2, 3)
 
+    @pytest.mark.parametrize("g", range(11))
+    def test_every_leaf_reads_as_a_tree_node(self, g):
+        def agrees(leaf):
+            node = TreeNode._make(leaf)
+            return int(node.semigroup() == from_generators(node.min_generators)), 1
+
+        (good, leaves), _ = map_reduce_genus(g, agrees, (0, 0))
+        assert good == leaves == A007323[g]
+
 
 class TestRawKernel:
     """Every raw node to genus 14, against its definition."""
@@ -187,8 +195,7 @@ class TestRawKernel:
     def test_children_round_trip_through_tree_nodes(self):
         for node in self.raw_nodes(14):
             if node[2] < 14:
-                assert _raw(_node(node)) == node
-                assert children(_node(node)) == [_node(kid) for kid in _expand(node)]
+                assert children(TreeNode._make(node)) == _expand(node)
 
 
 class TestBudget:
@@ -538,7 +545,7 @@ class TestFusedWalk:
         want = []
         descend(root_node(12), want)
         got = []
-        _walk(_root(12), 12, 10 ** 6, lambda leaf: got.append(tuple(_node(leaf))))
+        _walk(_root(12), 12, 10 ** 6, got.append)
         assert got == want
 
     @pytest.mark.parametrize("visitor", [None, lambda S: None], ids=["count", "visit"])
