@@ -2,6 +2,8 @@
 
 import argparse
 import contextlib
+import errno
+import io
 import json
 import math
 import os
@@ -134,9 +136,8 @@ def build_parser() -> _Parser:
                    help=f"q values for the lgm table (default {','.join(map(str, TABLE_Q))})")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.add_argument("--workers", type=partial(_parse_int, minimum=1), default=None,
-                   help="processes that fold, this one among them "
-                        "(default: NSG_WORKERS or 1)")
+    p.add_argument("--workers", type=partial(_parse_int, minimum=1), default=1,
+                   help="processes that fold, this one among them (default 1)")
     p.add_argument("--node-budget", type=partial(_parse_int, minimum=1),
                    default=DEFAULT_NODE_BUDGET)
     p.add_argument("--seed", type=partial(_parse_int, minimum=0), default=None,
@@ -234,15 +235,9 @@ def _renderer(kind, fmt, q_list):
     return {"csv": gmgen_csv, "json": gmgen_json, "text": gmgen_text}[fmt]
 
 
-def _render_table(kind, rows, q_list, fmt, truncated=False):
+def _render_table(kind, rows, q_list, fmt):
     out = _renderer(kind, fmt, q_list)(rows)
-    if fmt == "json":
-        if truncated:
-            out["truncated"] = True
-        return json.dumps(out, indent=2) + "\n"
-    if truncated:
-        out += "# truncated: node budget exceeded\n"
-    return out
+    return json.dumps(out, indent=2) + "\n" if fmt == "json" else out
 
 
 def _read_reference(kind, path, genus: range, q_list) -> str:
@@ -264,12 +259,6 @@ def _read_reference(kind, path, genus: range, q_list) -> str:
 
 
 def _cmd_table(args, parser) -> int:
-    workers = args.workers
-    if workers is None:
-        try:
-            workers = _parse_int(os.environ.get("NSG_WORKERS", "1"), minimum=1)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"NSG_WORKERS: {exc}")
     if args.selfcheck and args.kind != "lgm":
         parser.error("--selfcheck applies to the lgm table only")
     if args.q is not None and args.kind != "lgm":
@@ -278,7 +267,7 @@ def _cmd_table(args, parser) -> int:
         parser.error("--seed applies with --selfcheck only")
     q_list = TABLE_Q if args.q is None else args.q
     try:
-        check_fork(workers)
+        check_fork(args.workers)
         ref_text = (None if args.reference is None
                     else _read_reference(args.kind, args.reference, args.genus, q_list))
         out = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
@@ -289,27 +278,20 @@ def _cmd_table(args, parser) -> int:
     except ValueError as exc:  # a reference that does not parse
         print(f"nsgbounds: reference {args.reference}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    truncated = False
-    with out as fh:
+    with out as fh:  # an overrun leaves --out empty
         try:
             if args.kind == "lgm":
-                rows = build_lgm_table(args.genus, q_list, workers=workers,
+                rows = build_lgm_table(args.genus, q_list, workers=args.workers,
                                        node_budget=args.node_budget,
                                        selfcheck_seed=(args.seed or 0) if args.selfcheck
                                        else None)
             else:
-                rows = build_gmgen_table(args.genus, workers=workers,
+                rows = build_gmgen_table(args.genus, workers=args.workers,
                                          node_budget=args.node_budget)
-        except ResourceLimit as exc:
-            rows = exc.partial or []
-            truncated = True
+        except NsgError as exc:  # an overrun, or a pool worker that could not start, or died
             print(f"nsgbounds: {exc}", file=sys.stderr)
-        except NsgError as exc:  # a pool worker that could not start, or died
-            print(f"nsgbounds: {exc}", file=sys.stderr)
-            return EXIT_OSERR
-        fh.write(_render_table(args.kind, rows, q_list, args.format, truncated=truncated))
-    if truncated:
-        return EXIT_RESOURCE
+            return EXIT_RESOURCE if isinstance(exc, ResourceLimit) else EXIT_OSERR
+        fh.write(_render_table(args.kind, rows, q_list, args.format))
 
     if ref_text is not None:
         computed_csv = _renderer(args.kind, "csv", q_list)(rows)
@@ -333,9 +315,18 @@ def _cmd_table(args, parser) -> int:
     return EXIT_OK
 
 
+class _ClosedStdout(io.TextIOBase):
+    """What ``sys.stdout`` is when fd 1 was closed at start-up: it refuses every write."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "stdout is closed")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # Python found fd 1 closed
+        sys.stdout = _ClosedStdout()
     try:
         try:
             if args.command == "member":

@@ -328,6 +328,13 @@ def _fold_unit(record, map_fn, kernel, tally=None):
     return tally, sum(_walk(_spine_split(g)[1][i], g, budget, map_fn, tally, kernel))
 
 
+def _least_nodes(g: int) -> int:
+    """The nodes a walk to genus ``g`` touches at least: for g >= 2, its g - 2
+    spine nodes and the first node of each unit of ``_spine_split(g)``: the h
+    children other than O_{h+1} of each O_h with h < g - 2, and O_{g-2}."""
+    return 1 if g < 2 else g - 1 + (g - 2) * (g - 3) // 2
+
+
 @lru_cache(maxsize=1)  # per process: the units of the row it folds
 def _spine_split(g: int) -> tuple[int, tuple]:
     """Split the walk to genus ``g`` into units along the ordinary spine.
@@ -348,8 +355,8 @@ def _spine_split(g: int) -> tuple[int, tuple]:
 
 
 # A queue record: the genus, the unit's index and its node budget, which
-# is signed, since a row whose spine alone overruns leaves it negative.
-_RECORD = struct.Struct("=IIq")
+# is positive, since a row that cannot walk its spine and units is not queued.
+_RECORD = struct.Struct("=IIQ")
 # The largest queue write: whole records, at most PIPE_BUF bytes, which a
 # pipe writes at once or not at all.
 _BATCH = select.PIPE_BUF - select.PIPE_BUF % _RECORD.size
@@ -654,9 +661,13 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     Tallies are merged in unit order, so the aggregate and the number of
     nodes walked do not depend on the pool.  Each unit walks under the
     budget left after the spine, and the running total is checked after
-    every unit, so ResourceLimit is raised exactly when the walk needs
-    more than ``node_budget`` nodes, at most one unit after the budget is
-    crossed; a pool's workers are killed and reaped before it is raised.
+    every unit, so ResourceLimit, "node budget exhausted while computing
+    genus g", is raised exactly when the walk needs more than
+    ``node_budget`` nodes, at most one unit after the budget is crossed; a
+    pool's workers are killed and reaped before it is raised.  A row that
+    cannot walk even its spine and the first node of every unit
+    (``_least_nodes``) raises before the split is built, so a deep row
+    with a small budget costs nothing.
 
     A pool folds the ``map_fn`` and ``kernel`` it was made with, so
     ValueError is raised, before any unit is queued, if these are others.
@@ -671,6 +682,9 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         raise ValueError("genus must be non-negative")
     if pool is not None and pool.callables != (map_fn, kernel):
         raise ValueError("the pool was made for another map_fn or kernel")
+    overrun = f"node budget exhausted while computing genus {g}"
+    if _least_nodes(g) > node_budget:
+        raise ResourceLimit(overrun)
     spine, units = _spine_split(g)
     budget = node_budget - spine
     tally = {}
@@ -692,7 +706,7 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         total = node_budget + 1
     if total > node_budget:
         parts.close()  # a pool stops its workers
-        raise ResourceLimit(f"node budget of {node_budget} exceeded")
+        raise ResourceLimit(overrun)
     acc = zero
     for value, count in tally.items():
         acc = _add_times(add_fn, acc, value, count)

@@ -23,8 +23,3 @@ class SingleGenerator(NsgError):
 
 class ResourceLimit(NsgError):
     """A traversal exceeded its node budget."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        # rows (or other results) completed before the budget ran out
-        self.partial = partial

@@ -156,7 +156,7 @@ def from_generators(gens) -> NumericalSemigroup:
 
     Raises EmptyInput for an empty set, TypeError for an entry that is
     not an integer (floats, Fractions and strings are rejected, not
-    truncated; anything with ``__index__`` is accepted), ValueError for
+    rounded; anything with ``__index__`` is accepted), ValueError for
     non-positive entries, and NonCoprimeGenerators when the gcd exceeds 1
     (the complement would be infinite).
     """

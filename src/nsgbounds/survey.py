@@ -28,7 +28,6 @@ from .enumeration import (
     map_reduce_genus,
     worker_pool,
 )
-from .errors import ResourceLimit
 
 __all__ = [
     "LgmTableRow",
@@ -327,17 +326,13 @@ def _build_rows(genus_range, map_fn, kernel, zero, make_row, workers,
     """``make_row(g, aggregate)`` per genus, all rows sharing one node budget.
 
     With ``workers`` > 1 one process pool, forked with this fold, serves
-    every row.  On ResourceLimit the finished rows go out as its
-    ``partial``."""
+    every row.  A row that overruns the budget left to it raises
+    ResourceLimit, which names its genus, and no row is returned."""
     rows = []
     with worker_pool(workers, map_fn, kernel) as pool:
         for g in genus_range:
-            try:
-                acc, nodes = map_reduce_genus(g, map_fn, zero, node_budget=node_budget,
-                                              pool=pool, kernel=kernel)
-            except ResourceLimit:
-                raise ResourceLimit(f"node budget exhausted while computing genus {g}",
-                                    partial=rows) from None
+            acc, nodes = map_reduce_genus(g, map_fn, zero, node_budget=node_budget,
+                                          pool=pool, kernel=kernel)
             node_budget -= nodes
             rows.append(make_row(g, acc))
     return rows
@@ -509,7 +504,7 @@ def _scaled100(cell: str) -> int:
 
 def _parse_table_csv(text: str):
     """(header, {genus: {column: (cell, cell scaled by 100)}}); ValueError if malformed."""
-    lines = [ln for ln in text.strip().split("\n") if ln]
+    lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines:
         raise ValueError("the table is empty")
     header = lines[0].split(",")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from nsgbounds import build_gmgen_table, build_lgm_table, cli, enumeration, survey
+from nsgbounds import cli, enumeration, survey
 from nsgbounds.cli import (
     EXIT_MISMATCH,
     EXIT_IOERR,
@@ -16,7 +16,6 @@ from nsgbounds.cli import (
     EXIT_OSERR,
     EXIT_RESOURCE,
     EXIT_USAGE,
-    _render_table,
     main,
 )
 
@@ -111,13 +110,10 @@ class TestUsageErrors:
             main([])
         assert info.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("setting", ["0", "-1", "NSG_WORKERS=0", "NSG_WORKERS=-3",
-                                         "NSG_WORKERS=abc", "--node-budget=0"])
-    def test_workers_must_be_positive(self, capsys, monkeypatch, setting):
+    @pytest.mark.parametrize("setting", ["0", "-1", "--node-budget=0"])
+    def test_workers_must_be_positive(self, capsys, setting):
         argv = ["table", "gmgens", "--genus", "2..4"]
-        if setting.startswith("NSG_WORKERS="):
-            monkeypatch.setenv("NSG_WORKERS", setting.partition("=")[2])
-        elif setting.startswith("--"):
+        if setting.startswith("--"):
             argv.append(setting)
         else:
             argv += ["--workers", setting]
@@ -344,34 +340,23 @@ class TestTable:
         assert len(outs) == 1
         assert outs.pop()[0] == EXIT_OK
 
-    def test_nsg_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("NSG_WORKERS", "2")
-        code, out, _ = run_cli(capsys, "table", "lgm", "--genus", "2..5",
-                               "--q", "2", "--format", "csv")
-        assert code == EXIT_OK
-        assert out.strip().split("\n")[1] == "2,50.00,50.00"
-
     def test_budget_truncation(self, capsys):
+        # rows 2..5 walk 54 nodes and row 6 another 50: no row is printed
         code, out, err = run_cli(capsys, "table", "lgm", "--genus", "2..12",
                                  "--q", "2", "--format", "csv", "--node-budget", "60")
         assert code == EXIT_RESOURCE
-        assert "# truncated: node budget exceeded" in out
-        assert out.startswith("genus,")
-        assert "node budget" in err
+        assert out == ""
+        assert err == "nsgbounds: node budget exhausted while computing genus 6\n"
 
-    @pytest.mark.parametrize("kind", ["lgm", "gmgens"])
-    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-    def test_render_truncated(self, kind, fmt):
-        q_list = (2, 9)
-        rows = (build_lgm_table(range(2, 5), q_list) if kind == "lgm"
-                else build_gmgen_table(range(2, 5)))
-        whole = _render_table(kind, rows, q_list, fmt)
-        cut = _render_table(kind, rows, q_list, fmt, truncated=True)
-        if fmt == "json":
-            assert cut.endswith("}\n")
-            assert json.loads(cut) == {**json.loads(whole), "truncated": True}
-        else:
-            assert cut == whole + "# truncated: node budget exceeded\n"
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_an_overrun_leaves_out_empty(self, capsys, tmp_path, workers):
+        target = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "table", "gmgens", "--genus", "2..16",
+                                 "--node-budget", "20000", "--workers", workers,
+                                 "--out", str(target))
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == "nsgbounds: node budget exhausted while computing genus 16\n"
+        assert target.read_text() == ""
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "table", "gmgens", "--genus", "2..2",
@@ -417,11 +402,11 @@ class TestTable:
                                  "--selfcheck")
         if overrun is None:
             assert code == EXIT_OK
-            assert len(out.splitlines()) == 12 and "truncated" not in out
+            assert len(out.splitlines()) == 12
             assert "selfcheck passed" in err
         else:
             assert code == EXIT_RESOURCE
-            assert out.splitlines()[-1] == "# truncated: node budget exceeded"
+            assert out == ""
             assert err == f"nsgbounds: node budget exhausted while computing genus {overrun}\n"
 
     def test_selfcheck_output_does_not_depend_on_workers(self, capsys):
@@ -503,6 +488,32 @@ class TestWriteErrors:
         with open("/dev/full", "w") as full:
             proc = self._run(argv, subprocess.DEVNULL, full, unbuffered)
         assert proc.returncode == EXIT_IOERR
+
+    @staticmethod
+    def _run_with_stdout_closed(argv, cwd):
+        # the child closes fd 1 and then starts nsgbounds, which finds no stdout
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        start = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+        return subprocess.run([sys.executable, "-c", start, sys.executable, "-m", "nsgbounds",
+                               *argv], stderr=subprocess.PIPE, text=True, cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--a-max", "5", "--b-max", "10"),
+        ("member", "--gens", "2,3", "--value", "5"),
+        ("table", "gmgens", "--genus", "2..4"),
+        ("table", "gmgens", "--genus", "2..8", "--workers", "2"),
+    ], ids=["verify", "member", "table", "pooled-table"])
+    def test_a_closed_stdout(self, argv, tmp_path):
+        proc = self._run_with_stdout_closed(argv, tmp_path)
+        assert proc.returncode == EXIT_IOERR
+        assert proc.stderr == "nsgbounds: cannot write output: [Errno 9] stdout is closed\n"
+
+    def test_out_with_a_closed_stdout(self, capsys, tmp_path):
+        argv = ("table", "gmgens", "--genus", "2..4", "--format", "csv")
+        proc = self._run_with_stdout_closed((*argv, "--out", "t.csv"), tmp_path)
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        assert (tmp_path / "t.csv").read_text() == run_cli(capsys, *argv)[1]
 
     @needs_dev_full
     def test_table_out_to_a_full_device(self, capsys):

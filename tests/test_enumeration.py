@@ -28,6 +28,7 @@ from nsgbounds.enumeration import (
     _add_times,
     _expand,
     _fold_unit,
+    _least_nodes,
     _per_leaf,
     _recv,
     _root,
@@ -453,14 +454,16 @@ class TestForkPool:
 
     def test_a_row_larger_than_the_queue_overruns_as_in_one_process(self):
         # genus 100 has 4,754 units: 76 KB of records, more than a 64 KiB
-        # pipe holds, and its spine alone overruns a budget of 10
+        # pipe holds; a budget of the least the row walks queues them all
         assert len(_spine_split(100)[1]) * _RECORD.size > 65536
+        budget = _least_nodes(100)
+        assert budget == 4852
         with pytest.raises(ResourceLimit):
-            map_reduce_genus(100, _one, (0,), node_budget=10)
+            map_reduce_genus(100, _one, (0,), node_budget=budget)
         with worker_pool(2, _one) as pool:
             pids = pool.pids
             with pytest.raises(ResourceLimit) as stopped:
-                map_reduce_genus(100, _one, (0,), node_budget=10, pool=pool)
+                map_reduce_genus(100, _one, (0,), node_budget=budget, pool=pool)
             assert_stopped(pool, pids)
 
     def test_a_row_larger_than_the_queue_is_folded_in_order(self, monkeypatch):
@@ -605,6 +608,19 @@ class TestSpineSplit:
         population = []
         enumerate_genus(g, lambda S: population.append(S.min_generators))
         assert sorted(tuple(bit_indices(leaf[3])) for leaf in leaves) == sorted(population)
+
+    def test_least_nodes_is_the_spine_and_a_node_per_unit(self):
+        for g in range(0, 61):
+            spine, units = _spine_split(g)
+            assert _least_nodes(g) == spine + len(units), g
+
+    def test_a_deep_row_overruns_before_the_split(self, monkeypatch):
+        def no_split(g):
+            raise AssertionError("the split was built")
+
+        monkeypatch.setattr(enumeration, "_spine_split", no_split)
+        with pytest.raises(ResourceLimit, match="^node budget exhausted .* genus 600$"):
+            map_reduce_genus(600, _one, (0,), node_budget=10)
 
     def test_largest_unit_is_small(self):
         spine, units = _spine_split(14)

@@ -101,10 +101,11 @@ class TestLgmTable:
         assert cell == {"count": 1, "total": 2, "percent": "50.00"}
 
     def test_budget_carries_partial_rows(self):
-        with pytest.raises(ResourceLimit) as info:
+        # it carries none: the overrun names its row, and the finished rows are dropped
+        with pytest.raises(ResourceLimit,
+                           match="^node budget exhausted while computing genus 6$") as info:
             build_lgm_table(range(2, 12), (2,), node_budget=60)
-        partial = info.value.partial
-        assert partial and partial[0].genus == 2
+        assert not hasattr(info.value, "partial")
 
     def test_empty_q_list_rejected(self):
         with pytest.raises(ValueError):
@@ -209,7 +210,8 @@ class TestSharedPool:
                     outcomes.append(build_gmgen_table(range(2, 11), workers=workers,
                                                       node_budget=budget))
                 except ResourceLimit as exc:
-                    outcomes.append(("partial", exc.partial))
+                    outcomes.append(str(exc))
+            assert isinstance(outcomes[0], list) == (budget >= sum(nodes)), budget
             assert outcomes[0] == outcomes[1], budget
 
 
@@ -266,6 +268,13 @@ class TestReference:
         near = "genus,x\n2,50.01\n3,25.00\n"
         assert compare_tables(good, bad)[1] == [(2, "x", "50.00", "50.02")]
         assert compare_tables(good, near)[1] == []  # within one ulp
+
+    def test_crlf_reference_compares_every_cell(self):
+        rows = build_lgm_table(range(2, 8), (2, 3, 9, 16, 256))
+        computed = lgm_csv(rows, (2, 3, 9, 16, 256))
+        ref = load_reference("lgm")
+        assert compare_tables(computed, ref) == (6 * 10, [])
+        assert compare_tables(computed, ref.replace("\n", "\r\n")) == (6 * 10, [])
 
 
 class TestSelfcheck:
