@@ -128,26 +128,23 @@ class TreeNode(NamedTuple):
         return tuple(g for g in self.min_generators if g > self.frobenius)
 
     def semigroup(self) -> NumericalSemigroup:
-        return _semigroup(self)
-
-
-def _semigroup(node: tuple) -> NumericalSemigroup:
-    """The NumericalSemigroup of a node."""
-    bits, frobenius, genus, gens, _, _ = node
-    conductor = frobenius + 1
-    return NumericalSemigroup(tuple(bit_indices(gens)), conductor, genus,
-                              bits & ((1 << conductor) - 1))
-
-
-def _root(max_genus: int) -> tuple:
-    # floor of 8 keeps the window usable even at genus 0
-    full = (1 << max(3 * max_genus + 2, 8)) - 1
-    return (full, -1, 0, 2, 1, full)
+        """The node's NumericalSemigroup; a walk's tuple reads as ``TreeNode.semigroup(leaf)``."""
+        bits, frobenius, genus, gens, _, _ = self
+        conductor = frobenius + 1
+        return NumericalSemigroup(tuple(bit_indices(gens)), conductor, genus,
+                                  bits & ((1 << conductor) - 1))
 
 
 def root_node(max_genus: int) -> TreeNode:
-    """The full semigroup, with a bit window sized for ``max_genus``."""
-    return TreeNode._make(_root(max_genus))
+    """The full semigroup, windowed for ``max_genus``: every walk and spine split starts here."""
+    # floor of 8 keeps the window usable even at genus 0
+    full = (1 << max(3 * max_genus + 2, 8)) - 1
+    return TreeNode(full, -1, 0, 2, 1, full)
+
+
+def _overrun(g: int) -> ResourceLimit:
+    """The one overrun of every walk: its node budget ran out short of genus ``g``."""
+    return ResourceLimit(f"node budget exhausted while computing genus {g}")
 
 
 def _expand(node: tuple) -> list[tuple]:
@@ -235,14 +232,14 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
     ``leaf_fn`` value (see ``map_reduce_genus``).  Without one, the walk
     uses ``_per_leaf``, which hands each child to ``leaf_fn``; without
     either, it builds no child.  The kernel is not called for a parent
-    without children.  Raises ResourceLimit as soon as the node count
-    would exceed ``budget``, before the leaves of the parent that crosses
-    it are evaluated, so it raises exactly when the walk needs more than
-    ``budget`` nodes.
+    without children.  Raises the one overrun, ResourceLimit "node budget
+    exhausted while computing genus ``target_genus``", as soon as the node
+    count would exceed ``budget``, before the leaves of the parent that
+    crosses it are evaluated, so exactly when the walk needs more nodes.
     """
     sizes = [0] * (target_genus + 1)
     if budget < 1:
-        raise ResourceLimit(f"node budget of {budget} exceeded")
+        raise _overrun(target_genus)
     if start[2] == target_genus:  # ``start`` is the only leaf
         sizes[target_genus] = 1
         if leaf_fn is not None:
@@ -269,7 +266,7 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
             nodes += kids
             sizes[target_genus] += kids
         if nodes > budget:
-            raise ResourceLimit(f"node budget of {budget} exceeded")
+            raise _overrun(target_genus)
         if kids and kernel is not None:
             pairs = kernel(node)
             if get is not None:
@@ -288,15 +285,15 @@ def enumerate_genus(g: int, visitor=None, *, node_budget: int = DEFAULT_NODE_BUD
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
-    leaf_fn = None if visitor is None else (lambda node: visitor(_semigroup(node)))
-    return _walk(_root(g), g, node_budget, leaf_fn)[g]
+    leaf_fn = None if visitor is None else (lambda node: visitor(TreeNode.semigroup(node)))
+    return _walk(root_node(g), g, node_budget, leaf_fn)[g]
 
 
 def count_by_genus(g_max: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
     """Number of numerical semigroups of each genus 0..g_max."""
     if g_max < 0:
         raise ValueError("genus must be non-negative")
-    return _walk(_root(g_max), g_max, node_budget)
+    return _walk(root_node(g_max), g_max, node_budget)
 
 
 def tuple_add(x: tuple, y: tuple) -> tuple:
@@ -343,7 +340,7 @@ def _spine_split(g: int) -> tuple[int, tuple]:
     nodes whose subtrees, walked to genus ``g``, touch every other
     node of the walk exactly once.
     """
-    node = _root(g)
+    node = root_node(g)
     spine = 0
     units = []
     while node[2] < g - 2:
@@ -661,13 +658,11 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     Tallies are merged in unit order, so the aggregate and the number of
     nodes walked do not depend on the pool.  Each unit walks under the
     budget left after the spine, and the running total is checked after
-    every unit, so ResourceLimit, "node budget exhausted while computing
-    genus g", is raised exactly when the walk needs more than
-    ``node_budget`` nodes, at most one unit after the budget is crossed; a
-    pool's workers are killed and reaped before it is raised.  A row that
-    cannot walk even its spine and the first node of every unit
-    (``_least_nodes``) raises before the split is built, so a deep row
-    with a small budget costs nothing.
+    every unit: ``_walk``'s overrun (genus g) is raised, by one unit or by
+    the total, exactly when the row needs more than ``node_budget`` nodes,
+    at most one unit late, and a pool's workers are reaped first.  A row
+    that cannot walk its spine and the first node of every unit
+    (``_least_nodes``) raises before the split is built, at no cost.
 
     A pool folds the ``map_fn`` and ``kernel`` it was made with, so
     ValueError is raised, before any unit is queued, if these are others.
@@ -682,9 +677,8 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         raise ValueError("genus must be non-negative")
     if pool is not None and pool.callables != (map_fn, kernel):
         raise ValueError("the pool was made for another map_fn or kernel")
-    overrun = f"node budget exhausted while computing genus {g}"
     if _least_nodes(g) > node_budget:
-        raise ResourceLimit(overrun)
+        raise _overrun(g)
     spine, units = _spine_split(g)
     budget = node_budget - spine
     tally = {}
@@ -694,19 +688,14 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         parts = pool.fold(g, len(units), budget)
     total = spine
     get = tally.get
-    try:
-        for part, nodes in parts:
-            total += nodes
-            if total > node_budget:
-                break
-            if part is not tally:
-                for value, count in part.items():
-                    tally[value] = get(value, 0) + count
-    except ResourceLimit:  # one unit alone overran the budget left after the spine
-        total = node_budget + 1
-    if total > node_budget:
-        parts.close()  # a pool stops its workers
-        raise ResourceLimit(overrun)
+    for part, nodes in parts:  # a unit that overruns alone raises here
+        total += nodes
+        if total > node_budget:
+            parts.close()  # a pool stops its workers
+            raise _overrun(g)
+        if part is not tally:
+            for value, count in part.items():
+                tally[value] = get(value, 0) + count
     acc = zero
     for value, count in tally.items():
         acc = _add_times(add_fn, acc, value, count)

@@ -21,9 +21,10 @@ from typing import NamedTuple
 from .bounds import coincidence_criterion, gm_generic
 from .enumeration import (
     DEFAULT_NODE_BUDGET,
+    TreeNode,
     _expand,
+    _least_nodes,
     _new_generators,
-    _semigroup,
     enumerate_genus,  # noqa: F401  perfbench hooks survey.enumerate_genus
     map_reduce_genus,
     worker_pool,
@@ -133,7 +134,7 @@ def _lgm_leaf(q_list, rule, leaf):
     if rule is not None:
         a, b, cut = rule
         if (a * (bits & ((1 << frobenius + 1) - 1)) + b) % _SAMPLE_PRIME < cut:
-            S = _semigroup(leaf)
+            S = TreeNode.semigroup(leaf)
             slots = (1, tuple((q, S.min_generators) for q in q_list
                               if coincidence_criterion(S, q)
                               != (gm_generic(S, q) == q * S.multiplicity + 1)))
@@ -377,15 +378,21 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
 def build_gmgen_table(genus_range, *, workers: int = 1,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> list[GmGenTableRow]:
     """Generator-classification means and portions per genus."""
-    genus_range = list(genus_range)
-    # A genus-g semigroup has at most multiplicity <= g + 1 minimal
-    # generators, so every per-leaf portion is an integer over ``lcm``.
-    lcm = math.lcm(*range(1, max(genus_range, default=0) + 2))
+    # Row g walks at least ``_least_nodes(g)`` nodes, so no row after the first where these
+    # sum past the budget is walked; a genus-g semigroup has at most multiplicity <= g + 1
+    # minimal generators, so every per-leaf portion of a walked row is an integer over ``lcm``.
+    reach, least = [], 0
+    for g in genus_range:
+        reach.append(g)
+        least += _least_nodes(g)
+        if least > node_budget:
+            break
+    lcm = math.lcm(*range(1, max(reach, default=0) + 2))
 
     def make_row(g, acc):
         return GmGenTableRow(g, *acc[:3], Fraction(acc[3], lcm))
 
-    return _build_rows(genus_range, partial(_gmgen_leaf, lcm), partial(_gmgen_kernel, lcm),
+    return _build_rows(reach, partial(_gmgen_leaf, lcm), partial(_gmgen_kernel, lcm),
                        (0, 0, 0, 0), make_row, workers, node_budget)
 
 
@@ -503,7 +510,7 @@ def _scaled100(cell: str) -> int:
 
 
 def _parse_table_csv(text: str):
-    """(header, {genus: {column: (cell, cell scaled by 100)}}); ValueError if malformed."""
+    """(header, {genus: {col: (cell, hundredths)}}); ValueError on bad, ragged or repeated rows."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines:
         raise ValueError("the table is empty")
@@ -512,19 +519,22 @@ def _parse_table_csv(text: str):
     for ln in lines[1:]:
         cells = ln.split(",")
         try:
-            by_genus[int(cells[0])] = {col: (cell, _scaled100(cell))
-                                       for col, cell in zip(header[1:], cells[1:])}
+            genus = int(cells[0])
+            row = {col: (cell, _scaled100(cell))
+                   for col, cell in zip(header[1:], cells[1:], strict=True)}
         except ValueError:
-            raise ValueError(f"row {ln!r} is not a genus followed by numbers") from None
+            raise ValueError(f"row {ln!r} is not a genus and one number per column") from None
+        if by_genus.setdefault(genus, row) is not row:
+            raise ValueError(f"row {ln!r} repeats genus {genus}")
     return header, by_genus
 
 
 def compare_tables(computed_csv: str, reference_csv: str):
     """Cell-by-cell comparison, one final-digit ulp of tolerance.
 
-    Only rows and columns present in both tables are compared.  Returns
-    (cells_compared, deviations) where each deviation is a
-    (genus, column, computed, reference) tuple.
+    Only rows and columns present in both tables are compared; a malformed
+    table raises ValueError.  Returns (cells_compared, deviations), each
+    deviation a (genus, column, computed, reference) tuple.
     """
     _, got = _parse_table_csv(computed_csv)
     _, want = _parse_table_csv(reference_csv)

@@ -37,6 +37,12 @@ class TestMember:
         assert code == EXIT_OK
         assert out.strip() == "member, 24 = 2*5 + 2*7"
 
+    def test_member_without_representation(self, capsys):
+        # only a two-generator semigroup prints its representation
+        code, out, _ = run_cli(capsys, "member", "--gens", "5,7,18", "--value", "12")
+        assert code == EXIT_OK
+        assert out == "member\n"
+
     def test_small_gap(self, capsys):
         code, out, _ = run_cli(capsys, "member", "--gens", "2,3", "--value", "1")
         assert code == EXIT_OK
@@ -96,14 +102,20 @@ class TestUsageErrors:
         assert info.value.code == EXIT_USAGE
 
     def test_bad_gens_syntax(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["member", "--gens", "4,x", "--value", "3"])
-        assert info.value.code == EXIT_USAGE
+        for gens, message in (("4,x", "not a comma-separated integer list"),
+                              ("0,3", "generators must be positive")):
+            with pytest.raises(SystemExit) as info:
+                main(["member", "--gens", gens, "--value", "3"])
+            assert info.value.code == EXIT_USAGE
+            assert message in capsys.readouterr().err
 
     def test_bad_genus_range(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["table", "lgm", "--genus", "9..2"])
-        assert info.value.code == EXIT_USAGE
+        for genus, message in (("9..2", "bad genus range"),
+                               ("abc", "expected A..B or a single genus")):
+            with pytest.raises(SystemExit) as info:
+                main(["table", "lgm", "--genus", genus])
+            assert info.value.code == EXIT_USAGE
+            assert message in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -171,8 +183,13 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "--selfcheck applies to the lgm table only" in captured.err
 
-    @pytest.mark.parametrize("reference", [None, "", "genus,x\nx,50.00\n",
-                                           "genus,x\n2,half\n"])
+    # the last two share a genus and a column with the table, so only their
+    # ragged row and their repeated genus make them bad
+    @pytest.mark.parametrize("reference", [
+        None, "", "genus,x\nx,50.00\n", "genus,x\n2,half\n",
+        pytest.param("genus,Lewittes = Geil-Matsumoto (q=2)\n2,50.00,1.00\n", id="ragged"),
+        pytest.param("genus,Lewittes = Geil-Matsumoto (q=2)\n2,50.00\n2,50.00\n",
+                     id="repeated-genus")])
     def test_bad_reference_fails_before_the_walk(self, capsys, monkeypatch, tmp_path,
                                                   reference):
         path = tmp_path / "ref.csv"  # None: the file does not exist
@@ -313,8 +330,9 @@ class TestTable:
             "4,42.86,57.14,14.29,42.86\n"
         )
 
-    def test_single_genus_range(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "lgm", "--genus", "2..2",
+    @pytest.mark.parametrize("genus", ["2..2", "2"])
+    def test_single_genus_range(self, capsys, genus):
+        code, out, _ = run_cli(capsys, "table", "lgm", "--genus", genus,
                                "--q", "2", "--format", "csv")
         assert code == EXIT_OK
         assert out.strip().split("\n")[1] == "2,50.00,50.00"

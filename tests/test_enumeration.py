@@ -31,7 +31,6 @@ from nsgbounds.enumeration import (
     _least_nodes,
     _per_leaf,
     _recv,
-    _root,
     _serve,
     _spine_split,
     _take,
@@ -159,7 +158,7 @@ class TestRawKernel:
 
     @staticmethod
     def raw_nodes(g):
-        stack = [_root(g)]
+        stack = [root_node(g)]
         while stack:
             node = stack.pop()
             yield node
@@ -201,8 +200,11 @@ class TestRawKernel:
 
 class TestBudget:
     def test_budget_exceeded(self):
-        with pytest.raises(ResourceLimit):
-            enumerate_genus(8, node_budget=10)
+        # every walk raises the one overrun, which names the genus it walks to
+        for walk in (count_by_genus, enumerate_genus):
+            with pytest.raises(ResourceLimit,
+                               match="^node budget exhausted while computing genus 8$"):
+                walk(8, node_budget=10)
 
     def test_budget_sufficient(self):
         assert enumerate_genus(5, node_budget=100) == 12
@@ -472,7 +474,7 @@ class TestForkPool:
         # the merged list of leaves shows the order the units were merged in
         units = []
         for g in (15, 14):
-            _walk(_root(15), g, 10 ** 6, units.append)
+            _walk(root_node(15), g, 10 ** 6, units.append)
         monkeypatch.setattr(enumeration, "_spine_split", lambda g: (0, tuple(units)))
         want = map_reduce_genus(15, _gens_list, (0, ()))
         assert want == ((2 * A007323[15], want[0][1]), len(units) + A007323[15])
@@ -536,6 +538,41 @@ class TestForkPool:
         finally:
             gc.unfreeze()
 
+    def test_a_worker_that_dies_after_a_fold_fails_the_close(self):
+        gc.unfreeze()  # whatever an earlier test left frozen
+        want = map_reduce_genus(10, _one, (0,))
+        with pytest.raises(NsgError) as info:
+            with worker_pool(3, _one) as pool:
+                pids = pool.pids
+                assert map_reduce_genus(10, _one, (0,), pool=pool) == want
+                os.kill(pids[1], signal.SIGKILL)
+        assert str(info.value) == f"pool worker {pids[1]} exited before the pool closed"
+        assert_reaped(pids)
+        assert gc.get_freeze_count() == 0
+
+    def test_an_interrupted_start_reaps_the_started_worker(self, monkeypatch):
+        gc.unfreeze()  # whatever an earlier test left frozen
+        fork, forked = os.fork, []
+
+        def interrupted_fork():
+            if forked:
+                raise KeyboardInterrupt
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        with pytest.raises(KeyboardInterrupt):
+            with worker_pool(3, _one):
+                pytest.fail("the block ran")
+        monkeypatch.undo()
+        assert len(forked) == 1
+        assert_reaped(forked)
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
+        assert gc.get_freeze_count() == 0
+
 
 class TestFusedWalk:
     def test_leaf_order_matches_recursive_children(self):
@@ -548,7 +585,7 @@ class TestFusedWalk:
         want = []
         descend(root_node(12), want)
         got = []
-        _walk(_root(12), 12, 10 ** 6, got.append)
+        _walk(root_node(12), 12, 10 ** 6, got.append)
         assert got == want
 
     @pytest.mark.parametrize("visitor", [None, lambda S: None], ids=["count", "visit"])
@@ -569,23 +606,23 @@ class TestFusedWalk:
             return _per_leaf(_gens_fingerprint, parent)
 
         tally = {}
-        sizes = _walk(_root(12), 12, 10 ** 6, _gens_fingerprint, tally, kernel)
+        sizes = _walk(root_node(12), 12, 10 ** 6, _gens_fingerprint, tally, kernel)
         parents = []
-        _walk(_root(12), 11, 10 ** 6, parents.append)
+        _walk(root_node(12), 11, 10 ** 6, parents.append)
         assert seen == [p for p in parents if p[3] >> p[1] + 1]
         assert len(seen) < len(parents)
         assert sum(tally.values()) == sizes[12] == A007323[12]
 
     def test_kernel_runs_after_the_budget_check(self):
         parents = []
-        _walk(_root(7), 6, 10 ** 6, parents.append)
+        _walk(root_node(7), 6, 10 ** 6, parents.append)
         with_children = [p for p in parents if p[3] >> p[1] + 1]
         assert parents[-1] == with_children[-1]  # the walk's last node has children
         n = sum(count_by_genus(7))
         for budget, want in ((n, with_children), (n - 1, with_children[:-1])):
             calls = []
             try:
-                _walk(_root(7), 7, budget, _one, {}, lambda parent: calls.append(parent) or [])
+                _walk(root_node(7), 7, budget, _one, {}, lambda parent: calls.append(parent) or [])
             except ResourceLimit:
                 assert budget < n
             assert calls == want

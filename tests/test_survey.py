@@ -20,7 +20,7 @@ from nsgbounds import (
     worker_pool,
 )
 from nsgbounds.bounds import classify_generators, coincidence_criterion, sufficient_condition
-from nsgbounds.enumeration import _expand, _root, _semigroup, _walk
+from nsgbounds.enumeration import TreeNode, _expand, _walk, root_node
 from nsgbounds.errors import ResourceLimit
 from nsgbounds.survey import (
     compare_tables,
@@ -154,6 +154,21 @@ class TestGmGenTable:
         frac = payload["rows"][0]["mean_portion_non_gm"]
         assert frac == {"num": 5, "den": 12, "percent": "41.67"}
 
+    def test_a_deep_range_takes_the_lcm_of_the_rows_it_reaches(self, monkeypatch):
+        # rows 2 and 3 walk 4 + 8 nodes, so a budget of 10 overruns at genus
+        # 3; the least nodes of rows 2..5 already sum past it
+        lcm, calls = math.lcm, []
+
+        def spy(*args):
+            assert max(args, default=0) <= 100
+            calls.append(args)
+            return lcm(*args)
+
+        monkeypatch.setattr(math, "lcm", spy)
+        with pytest.raises(ResourceLimit, match="^node budget exhausted while computing genus 3$"):
+            build_gmgen_table(range(2, 300001), node_budget=10)
+        assert calls
+
 
 class TestDeterminismAcrossWorkers:
     def test_lgm_rows_identical(self):
@@ -268,6 +283,11 @@ class TestReference:
         near = "genus,x\n2,50.01\n3,25.00\n"
         assert compare_tables(good, bad)[1] == [(2, "x", "50.00", "50.02")]
         assert compare_tables(good, near)[1] == []  # within one ulp
+        for bad, reason in (("genus,x\n2,50.00,1.00\n", "one number per column"),
+                            ("genus,x\n2\n3,25.00\n", "one number per column"),
+                            ("genus,x\n2,50.00\n2,50.00\n", "repeats genus 2")):
+            with pytest.raises(ValueError, match=reason):
+                compare_tables(good, bad)
 
     def test_crlf_reference_compares_every_cell(self):
         rows = build_lgm_table(range(2, 8), (2, 3, 9, 16, 256))
@@ -353,10 +373,10 @@ class TestLeafKernels:
     def test_leaves_match_the_bounds_api(self):
         for g in range(15):
             leaves = []
-            _walk(_root(g), g, 10 ** 6, leaves.append)
+            _walk(root_node(g), g, 10 ** 6, leaves.append)
             lcm = math.lcm(*range(1, g + 2))
             for leaf in leaves:
-                S = _semigroup(leaf)
+                S = TreeNode.semigroup(leaf)
                 gens = S.min_generators
                 coincide = [int(coincidence_criterion(S, q)) for q in self.Q]
                 sufficient = [int(len(gens) > 1 and sufficient_condition(S, q))
@@ -369,7 +389,7 @@ class TestLeafKernels:
 
 def _parents(top):
     """Every raw node of genus below ``top``, from a walk to genus ``top``."""
-    stack, out = [_root(top)], []
+    stack, out = [root_node(top)], []
     while stack:
         node = stack.pop()
         if node[2] < top:
