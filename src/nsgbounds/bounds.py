@@ -232,11 +232,13 @@ def lemma_qd_condition(lambda1: int, lambda_i: int, q: int) -> bool:
 def classify_generators(S: NumericalSemigroup, q: int) -> GenClassification:
     """Split generators at 2*l1 - 1 and derive a reduced index set.
 
-    Generators below 2*l1 - 1 always suffice for the set difference.
-    When l1 < q, the sharper cutoff q / floor(q/l1) applies (compared
+    When l1 < q, generators below 2*l1 - 1 suffice for the set
+    difference, and the sharper cutoff q / floor(q/l1) applies (compared
     exactly by cross-multiplication); generators at or above it satisfy
     q <= floor(q/l1)*l_i and are dropped with witness index 1, so index
-    1 is always retained.  When l1 >= q no reduction is attempted.
+    1 is always retained.  When l1 >= q no reduction is attempted, since
+    there the generators below 2*l1 - 1 may not suffice: for <3,5> at
+    q = 2 the set over {3} has 6 elements and the full set 4.
     """
     _check_q(q)
     gens = S.min_generators

@@ -491,7 +491,7 @@ class _ForkPool:
         result_r, result_w = os.pipe()
         try:
             pid = os.fork()
-        except OSError:
+        except BaseException:  # no fork, or an interrupt
             os.close(result_r)
             os.close(result_w)
             raise

@@ -1,9 +1,29 @@
-"""Shared brute-force oracles, independent of the library's fast paths."""
+"""Shared brute-force oracles, independent of the library's fast paths,
+and the one way tests start a Python subprocess."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
+
+import nsgbounds
+
+# the directory holding the nsgbounds this session imported: src/ in a
+# checkout, site-packages for an installed copy
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(nsgbounds.__file__))
+
+
+def run_python(*args, env=None, **kwargs):
+    """subprocess.run of this interpreter with ``args``, importing this nsgbounds.
+
+    ``env`` (default: this process's environment) is passed on with
+    PYTHONPATH set to PACKAGE_PARENT alone.
+    """
+    env = {**(os.environ if env is None else env), "PYTHONPATH": PACKAGE_PARENT}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
 def oracle_members_upto(gens, limit):

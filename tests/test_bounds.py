@@ -268,6 +268,14 @@ class TestClassification:
                         continue
                     assert gm_set(S, q, idx) == gm_set(S, q)
 
+    def test_cutoff_needs_multiplicity_below_q(self):
+        # at l1 >= q the generators below 2*l1 - 1 may not suffice, so no
+        # reduction is made there
+        S = from_generators([3, 5])
+        cls = classify_generators(S, 2)
+        assert cls.gm_generators == (3,) and cls.reduced_index_set == (1, 2)
+        assert len(gm_set(S, 2, [1])) == 6 and len(gm_set(S, 2)) == 4
+
 
 class TestIndexReduction:
     def test_examples(self):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import nsgbounds
 from nsgbounds import cli, enumeration, survey
 from nsgbounds.cli import (
     EXIT_MISMATCH,
@@ -18,6 +19,8 @@ from nsgbounds.cli import (
     EXIT_USAGE,
     main,
 )
+
+from conftest import oracle_gm_count, run_python
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +91,16 @@ class TestBounds:
         assert code == EXIT_OK and "lewittes : 4" in out
         assert err == ("nsgbounds: warning: multiplicity 1: every non-negative integer "
                        "is a member, the bound degenerates to q + 1\n")
+
+    @pytest.mark.parametrize("gens, q", [
+        ("12,18,20,27", 16),  # no generator coprime to l1
+        ("4,6,10,9", 9),  # 10 = 4 + 6 is redundant
+    ], ids=["none-coprime-to-l1", "redundant"])
+    def test_check_matches_the_oracle(self, capsys, gens, q):
+        code, out, err = run_cli(capsys, "bounds", "--gens", gens, "--q", str(q), "--check",
+                                 "--format", "json")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["gm"] == oracle_gm_count(map(int, gens.split(",")), q)
 
     def test_closed_rejected_for_three_generators(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -310,6 +323,15 @@ class TestVerify:
         assert code == EXIT_OK
         assert out.strip() == "all agree (13842 cases)"
 
+    @pytest.mark.parametrize("argv, cases", [
+        (("--q-list", "1,2,3"), 2307),  # q = 1 lies below every a of the sweep
+        (("--a-max", "40", "--b-max", "80"), 25074),
+    ], ids=["q-one", "b-to-80"])
+    def test_sweep_past_the_defaults(self, capsys, argv, cases):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_OK
+        assert out == f"all agree ({cases} cases)\n"
+
     def test_injected_fault(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--a-max", "3", "--b-max", "5",
                                "--q-list", "2", "--inject-fault")
@@ -330,12 +352,18 @@ class TestTable:
             "4,42.86,57.14,14.29,42.86\n"
         )
 
-    @pytest.mark.parametrize("genus", ["2..2", "2"])
-    def test_single_genus_range(self, capsys, genus):
-        code, out, _ = run_cli(capsys, "table", "lgm", "--genus", genus,
-                               "--q", "2", "--format", "csv")
+    @pytest.mark.parametrize("argv, row", [
+        pytest.param(("lgm", "--genus", "2..2", "--q", "2"), "2,50.00,50.00", id="2..2"),
+        pytest.param(("lgm", "--genus", "2", "--q", "2"), "2,50.00,50.00", id="2"),
+        pytest.param(("gmgens", "--genus", "7..7"), "7,2.79,1.62,63.37,36.63,39.13",
+                     id="gmgens-7..7"),
+        pytest.param(("gmgens", "--genus", "7"), "7,2.79,1.62,63.37,36.63,39.13",
+                     id="gmgens-7"),
+    ])
+    def test_single_genus_range(self, capsys, argv, row):
+        code, out, _ = run_cli(capsys, "table", *argv, "--format", "csv")
         assert code == EXIT_OK
-        assert out.strip().split("\n")[1] == "2,50.00,50.00"
+        assert out.strip().split("\n")[1:] == [row]
 
     def test_gmgens_csv(self, capsys):
         code, out, _ = run_cli(capsys, "table", "gmgens", "--genus", "2..3",
@@ -375,6 +403,8 @@ class TestTable:
         assert code == EXIT_RESOURCE and out == ""
         assert err == "nsgbounds: node budget exhausted while computing genus 16\n"
         assert target.read_text() == ""
+        with pytest.raises(ChildProcessError):  # no pool worker is left running
+            os.waitpid(-1, os.WNOHANG)
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "table", "gmgens", "--genus", "2..2",
@@ -429,9 +459,12 @@ class TestTable:
 
     def test_selfcheck_output_does_not_depend_on_workers(self, capsys):
         runs = [run_cli(capsys, "table", "lgm", "--genus", "2..13", "--format", "csv",
-                        "--selfcheck", "--seed", "11", "--workers", str(w))
+                        "--selfcheck", "--seed", "11", "--reference", "auto",
+                        "--workers", str(w))
                 for w in (1, 2, 3)]
-        assert runs[0][0] == EXIT_OK and "selfcheck passed on" in runs[0][2]
+        assert runs[0][0] == EXIT_OK
+        assert runs[0][2] == ("reference match: 120 cells within one ulp\n"
+                              "selfcheck passed on 21 sampled semigroups\n")
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_selfcheck_with_q_one_does_not_depend_on_workers(self, capsys):
@@ -462,12 +495,11 @@ class TestWriteErrors:
     def _run(argv, stdout, stderr, unbuffered):
         # a buffered stream keeps the bytes it could not write, and Python
         # flushes it again at exit
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        return subprocess.run([sys.executable, "-m", "nsgbounds", *argv], stdout=stdout,
-                              stderr=stderr, text=True, env={**env, "PYTHONPATH": src})
+        return run_python("-m", "nsgbounds", *argv, stdout=stdout, stderr=stderr, text=True,
+                          env=env)
 
     def _verify_to(self, stdout, unbuffered):
         return self._run(("verify", "--a-max", "5", "--b-max", "10"), stdout,
@@ -510,11 +542,9 @@ class TestWriteErrors:
     @staticmethod
     def _run_with_stdout_closed(argv, cwd):
         # the child closes fd 1 and then starts nsgbounds, which finds no stdout
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         start = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
-        return subprocess.run([sys.executable, "-c", start, sys.executable, "-m", "nsgbounds",
-                               *argv], stderr=subprocess.PIPE, text=True, cwd=cwd,
-                              env={**os.environ, "PYTHONPATH": src})
+        return run_python("-c", start, sys.executable, "-m", "nsgbounds", *argv,
+                          stderr=subprocess.PIPE, text=True, cwd=cwd)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--a-max", "5", "--b-max", "10"),
@@ -544,19 +574,22 @@ class TestWriteErrors:
 class TestConsoleEntry:
     def test_import_skips_dataclasses(self):
         # -S keeps site hooks from importing anything for the package
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c",
-             "import sys, nsgbounds.cli; "
-             "print([m for m in ('dataclasses', 'importlib.resources') if m in sys.modules])"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        proc = run_python(
+            "-S", "-c",
+            "import sys, nsgbounds.cli; "
+            "print([m for m in ('dataclasses', 'importlib.resources') if m in sys.modules])",
+            capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "nsgbounds", "member", "--gens", "2,3",
-             "--value", "7"],
-            capture_output=True, text=True)
+        proc = run_python("-m", "nsgbounds", "member", "--gens", "2,3", "--value", "7",
+                          capture_output=True, text=True)
         assert proc.returncode == 0
         assert "member" in proc.stdout
+
+    def test_a_child_imports_this_package(self):
+        # so that a run against an installed copy tests that copy, not src/
+        proc = run_python("-c", "import nsgbounds; print(nsgbounds.__file__)",
+                          capture_output=True, text=True)
+        assert proc.stdout == f"{nsgbounds.__file__}\n", proc.stderr

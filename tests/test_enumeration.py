@@ -563,9 +563,11 @@ class TestForkPool:
             return pid
 
         monkeypatch.setattr(os, "fork", interrupted_fork)
+        fds = set(os.listdir("/dev/fd"))
         with pytest.raises(KeyboardInterrupt):
             with worker_pool(3, _one):
                 pytest.fail("the block ran")
+        assert set(os.listdir("/dev/fd")) == fds  # the interrupted fork's pipe is closed too
         monkeypatch.undo()
         assert len(forked) == 1
         assert_reaped(forked)
