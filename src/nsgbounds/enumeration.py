@@ -21,16 +21,22 @@ names its fields.
 ``_walk`` is the one traversal.  It returns the number of nodes it
 touched at each genus, so counting reads its return value, enumeration
 reads its last entry, and ``map_reduce_genus`` folds the leaves of
-subtrees.  The last level is fused into its parent: a node one genus
-above the target counts its children, its effective generators, with
-one ``bit_count`` and never pushes them.  A walk without a callback
-stops there.  Otherwise a per-parent kernel evaluates the children: it
-returns (value, count) pairs for all of them at once, and a table
-kernel reads most values off the parent without building a child,
-since a child differs from its parent by one removed generator lam
-(see ``survey._lgm_kernel``).  A leaf function without a kernel gets
-the per-leaf adapter ``_per_leaf``, which expands the parent and hands
-each child over, so there is still one traversal and one fold path.
+subtrees.  Each node it pops counts all its children, its effective
+generators, with one ``bit_count``.  Above the last level the walk
+expands the node in its own loop, the same expansion as ``_expand``
+(which serves the cold callers: ``children``, the spine split, the
+per-leaf adapter and the kernels), and pushes only the children that
+have children in turn: a child without an effective generator is
+counted at its parent and never built or pushed.  The last level is
+fused into its parent: a node one genus above the target never pushes
+its children.  A walk without a callback stops there.  Otherwise a
+per-parent kernel evaluates the children: it returns (value, count)
+pairs for all of them at once, and a table kernel reads most values off
+the parent without building a child, since a child differs from its
+parent by one removed generator lam (see ``survey._lgm_kernel``).  A
+leaf function without a kernel gets the per-leaf adapter ``_per_leaf``,
+which expands the parent and hands each child over, so there is still
+one traversal and one fold path.
 A fold tallies identical leaf values and merges each distinct value
 once per fold.
 
@@ -148,7 +154,10 @@ def _overrun(g: int) -> ResourceLimit:
 
 
 def _expand(node: tuple) -> list[tuple]:
-    """Children of a node, as plain tuples, in increasing removed-generator order."""
+    """Children of a node, as plain tuples, in increasing removed-generator order.
+
+    ``_walk`` inlines the same expansion in its loop.
+    """
     bits, frobenius, genus, gens, m, mirror = node
     top = mirror.bit_length() - 1 - m  # mirror bit of x is top + m - x
     genus += 1
@@ -224,24 +233,30 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
     ``sizes``: ``sizes[h]`` is the number of nodes touched at genus h,
     for h in 0..target_genus.
 
-    The last level is fused into its parent: a node at genus
-    ``target_genus - 1`` counts its children, its effective generators,
-    with one ``bit_count`` and never pushes them.  A ``kernel`` (when
-    given) then evaluates them all at once: ``kernel(parent)`` returns
-    (value, count) pairs that count each child once under its
-    ``leaf_fn`` value (see ``map_reduce_genus``).  Without one, the walk
-    uses ``_per_leaf``, which hands each child to ``leaf_fn``; without
-    either, it builds no child.  The kernel is not called for a parent
-    without children.  Raises the one overrun, ResourceLimit "node budget
-    exhausted while computing genus ``target_genus``", as soon as the node
-    count would exceed ``budget``, before the leaves of the parent that
-    crosses it are evaluated, so exactly when the walk needs more nodes.
+    Every popped node counts its children, its effective generators,
+    with one ``bit_count``.  A node above genus ``target_genus - 1``
+    then expands them in the loop, as ``_expand`` does, and pushes them
+    by decreasing removed generator, so they pop in increasing order;
+    a child with no effective generator is never built or pushed, since
+    its parent has counted it already.  The last level is fused into
+    its parent: a node at genus ``target_genus - 1`` never pushes its
+    children.  A ``kernel`` (when given) then evaluates them all at
+    once: ``kernel(parent)`` returns (value, count) pairs that count
+    each child once under its ``leaf_fn`` value (see
+    ``map_reduce_genus``).  Without one, the walk uses ``_per_leaf``,
+    which hands each child to ``leaf_fn``; without either, it builds no
+    child.  The kernel is not called for a parent without children.
+    Raises the one overrun, ResourceLimit "node budget exhausted while
+    computing genus ``target_genus``", as soon as the node count would
+    exceed ``budget``, before the parent that crosses it expands or
+    evaluates its children.  The count only rises, to the walk's total,
+    so the walk raises exactly when it needs more nodes.
     """
     sizes = [0] * (target_genus + 1)
     if budget < 1:
         raise _overrun(target_genus)
+    sizes[start[2]] = 1
     if start[2] == target_genus:  # ``start`` is the only leaf
-        sizes[target_genus] = 1
         if leaf_fn is not None:
             value = leaf_fn(start)
             if tally is not None:
@@ -250,24 +265,36 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
     if kernel is None and leaf_fn is not None:
         kernel = partial(_per_leaf, leaf_fn)
     get = None if tally is None else tally.get
-    last = target_genus - 1
-    nodes = 0
+    nodes = 1
     stack = [start]
+    push = stack.append
     while stack:
         node = stack.pop()
-        nodes += 1
-        genus = node[2]
-        sizes[genus] += 1
-        if genus < last:
-            stack.extend(reversed(_expand(node)))
-            kids = 0
-        else:
-            kids = (node[3] >> node[1] + 1).bit_count()
-            nodes += kids
-            sizes[target_genus] += kids
+        bits, frobenius, genus, gens, m, mirror = node
+        kids = (gens >> frobenius + 1).bit_count()
+        nodes += kids
+        genus += 1
+        sizes[genus] += kids
         if nodes > budget:
             raise _overrun(target_genus)
-        if kids and kernel is not None:
+        if genus < target_genus:  # ``_expand``, pushed by decreasing lam
+            top = mirror.bit_length() - 1 - m
+            effective = gens >> frobenius + 1 << frobenius + 1
+            if frobenius < m:
+                effective ^= 1 << m
+            while effective:
+                lam = effective.bit_length() - 1
+                high = 1 << lam
+                effective ^= high
+                kid = gens ^ high
+                if not bits & (high - (2 << m)) & (mirror >> top - lam):
+                    kid |= high << m
+                if kid >> lam + 1:  # else a child without children, counted above
+                    push((bits ^ high, lam, genus, kid, m, mirror ^ 1 << top + m - lam))
+            if frobenius < m:
+                push((bits ^ 1 << m, m, genus, ((1 << m + 1) - 1) << m + 1, m + 1,
+                      mirror ^ 1 << top))
+        elif kids and kernel is not None:
             pairs = kernel(node)
             if get is not None:
                 for value, count in pairs:

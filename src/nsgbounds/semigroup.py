@@ -96,47 +96,6 @@ class NumericalSemigroup(NamedTuple):
                 f"conductor={self.conductor!r}, genus={self.genus!r})")
 
 
-def _closure(gens: list[int], window: int) -> int:
-    """Bitset of all sums of the generators inside [0, window).
-
-    Saturating each generator in turn with doubling shifts is complete:
-    after generator g the set is closed under adding any multiple of g,
-    and later saturations preserve that property.
-    """
-    mask = (1 << window) - 1
-    bits = 1
-    for g in gens:
-        shift = g
-        while shift < window:
-            bits |= (bits << shift) & mask
-            shift <<= 1
-    return bits
-
-
-def _minimal_generators(bits: int, conductor: int, multiplicity: int) -> tuple[int, ...]:
-    """Minimal generators read off a membership bitset, ascending.
-
-    A member is minimal iff it is not a sum of two nonzero members, and
-    every minimal generator is below conductor + multiplicity, since
-    anything larger splits off one multiplicity.  The lowest set bit of
-    ``free`` (at first the nonzero members below that limit) is the next
-    generator g; clearing every bit up to g and ``nonzero << g`` drops g
-    plus any nonzero member.  A non-minimal member is g' + s with g' a
-    smaller minimal generator and s a nonzero member, so it is cleared
-    before it becomes the lowest bit: one step per generator.
-    """
-    if conductor == 0:
-        return (1,)
-    nonzero = bits & ((1 << (conductor + multiplicity)) - 1) & ~1
-    free = nonzero
-    out = []
-    while free:
-        g = (free & -free).bit_length() - 1
-        out.append(g)
-        free &= ~(nonzero << g) & (-2 << g)
-    return tuple(out)
-
-
 def from_generators(gens) -> NumericalSemigroup:
     """Canonical semigroup generated by a coprime set of positive integers.
 
@@ -144,15 +103,23 @@ def from_generators(gens) -> NumericalSemigroup:
     of smaller members are dropped so that equal semigroups compare
     equal however they were presented.
 
-    The first closure window is ``(lo-1)*(g-1) + g``, where lo is the
-    smallest entry and g the smallest entry coprime to it: the semigroup
-    contains <lo, g>, whose Frobenius number is lo*g - lo - g (Sylvester),
-    so the window holds the conductor and a run of g >= lo members above
-    it.  When no entry is coprime to lo, the first window is
-    ``(lo-1)*(hi-1) + hi`` with hi the largest entry, which Schur's bound
+    The closure window is ``(lo-1)*(g-1) + g``, where lo is the smallest
+    entry and g the smallest entry coprime to it: the semigroup contains
+    <lo, g>, whose Frobenius number is lo*g - lo - g (Sylvester), so the
+    window holds the conductor and a run of g >= lo members above it.
+    When no entry is coprime to lo, the window is ``(lo-1)*(hi-1) + hi``
+    with hi the largest entry, which Schur's bound
     F <= (lo-1)*(hi-1) - 1 makes large enough too.  So one closure always
     suffices; the run of lo members above the last gap that certifies the
     conductor is asserted.
+
+    The entries are saturated in ascending order, each by doubling
+    shifts, which closes the set under adding any multiple of it.  An
+    entry whose bit is already set is a sum of smaller entries and is
+    skipped; every other entry is a minimal generator, since the members
+    below it are sums of smaller entries.  The closure stops at the first
+    entry at or past the window, which is at least the conductor plus lo
+    and so lo plus a nonzero member.
 
     Raises EmptyInput for an empty set, TypeError for an entry that is
     not an integer (floats, Fractions and strings are rejected, not
@@ -169,20 +136,33 @@ def from_generators(gens) -> NumericalSemigroup:
         raise NonCoprimeGenerators(f"gcd of {gens} exceeds 1")
 
     lo = gens[0]
+    if lo == 1:  # a one-bit window, which the stop below would leave empty
+        return NumericalSemigroup((1,), 0, 0, 0)
     for g in gens:  # ends on the largest entry when none is coprime to lo
         if math.gcd(lo, g) == 1:
             break
     window = (lo - 1) * (g - 1) + g
-    bits = _closure(gens, window)
-    conductor = (~bits & ((1 << window) - 1)).bit_length()
+    mask = (1 << window) - 1
+    bits = 1
+    min_gens = []
+    for entry in gens:
+        if entry >= window:
+            break
+        if bits >> entry & 1:
+            continue
+        min_gens.append(entry)
+        shift = entry
+        while shift < window:
+            bits |= (bits << shift) & mask
+            shift <<= 1
+    conductor = (~bits & mask).bit_length()
     # Either bound above is F <= (lo-1)*(g-1) - 1, so the window ends with
     # g >= lo members: a run of lo members certifies everything above it.
     assert window - conductor >= lo, "closure window below the Frobenius bound"
 
     member_bitmap = bits & ((1 << conductor) - 1)
     genus = conductor - member_bitmap.bit_count()
-    min_gens = _minimal_generators(bits, conductor, lo)
-    return NumericalSemigroup(min_gens, conductor, genus, member_bitmap)
+    return NumericalSemigroup(tuple(min_gens), conductor, genus, member_bitmap)
 
 
 def is_member(S: NumericalSemigroup, x: int) -> bool:

@@ -590,15 +590,40 @@ class TestFusedWalk:
         _walk(root_node(12), 12, 10 ** 6, got.append)
         assert got == want
 
-    @pytest.mark.parametrize("visitor", [None, lambda S: None], ids=["count", "visit"])
-    def test_budget_decision_is_exact(self, visitor):
-        total = sum(count_by_genus(6))
-        for budget in range(total - 40, total + 41):
-            if budget < total:
-                with pytest.raises(ResourceLimit):
-                    enumerate_genus(6, visitor, node_budget=budget)
-            else:
-                assert enumerate_genus(6, visitor, node_budget=budget) == 23
+    def test_inline_expansion_matches_children(self):
+        # a walk to genus t hands the kernel every node it built at genus
+        # t - 1 that has children, and counts the rest in ``sizes``
+        levels = [[] for _ in range(15)]
+
+        def descend(node):
+            levels[node.genus].append(tuple(node))
+            for kid in children(node) if node.genus < 14 else ():
+                descend(kid)
+
+        descend(root_node(14))
+        for target in range(1, 15):
+            seen = []
+            sizes = _walk(root_node(14), target, 10 ** 6,
+                          kernel=lambda parent: seen.append(parent) or [])
+            assert seen == [p for p in levels[target - 1] if p[3] >> p[1] + 1], target
+            assert sizes == [len(level) for level in levels[:target + 1]], target
+
+    @pytest.mark.parametrize("walk", ["count", "visit", "kernel"])
+    def test_budget_decision_is_exact(self, walk):
+        leaf_fn = None if walk == "count" else _gens_fingerprint
+        kernel = partial(_per_leaf, leaf_fn) if walk == "kernel" else None
+        for g in range(9):
+            total = sum(A007323[:g + 1])
+            for budget in range(1, total + 41):
+                tally = {}
+                if budget < total:
+                    with pytest.raises(ResourceLimit, match=f"^node budget exhausted "
+                                                            f"while computing genus {g}$"):
+                        _walk(root_node(g), g, budget, leaf_fn, tally, kernel)
+                else:
+                    sizes = _walk(root_node(g), g, budget, leaf_fn, tally, kernel)
+                    assert sizes == list(A007323[:g + 1])
+                    assert sum(tally.values()) == (0 if leaf_fn is None else A007323[g])
 
     def test_kernel_sees_each_parent_with_children_once(self):
         seen = []

@@ -107,17 +107,25 @@ class TestFromGenerators:
                                for y in range(1, g))
 
     def test_against_oracle(self):
-        # seeded random sets with redundant sums mixed in, and sets with no
-        # entry coprime to the smallest, which take the fallback window
+        # seeded random sets with redundant sums, repeated entries and
+        # multiples of the largest entry mixed in; sets with no entry
+        # coprime to the smallest, which take the fallback window; 1 with
+        # larger entries; and entries at or past the closure window
+        # (13 for <3, 5>, 57 for <7, 9>)
         rng = random.Random(20171)
         sets = [(6, 10, 15), (12, 18, 20, 27), (10, 12, 15), (6, 10, 45),
-                (30, 42, 70, 105), (15, 21, 35), (6, 9, 10)]
+                (30, 42, 70, 105), (15, 21, 35), (6, 9, 10), (4, 6, 9, 10),
+                (1, 20, 25), (1, 1, 2), (3, 5, 13), (3, 5, 7, 100), (7, 9, 48, 57, 61)]
         while len(sets) < 300:
             gens = rng.sample(range(1, 61), rng.randint(1, 7))
             if math.gcd(*gens) != 1:
                 continue
             if len(gens) > 1 and rng.random() < 0.5:
                 gens.append(gens[0] + gens[1])
+            if rng.random() < 0.3:
+                gens.append(rng.choice(gens))
+            if rng.random() < 0.3:
+                gens.append(max(gens) * rng.randint(2, 9))
             sets.append(tuple(gens))
         for gens in sets:
             S = from_generators(gens)
