@@ -192,10 +192,6 @@ def coincidence_criterion(S: NumericalSemigroup, q: int) -> bool:
     Equivalent to the set-difference bound collapsing to Lewittes'.
     """
     _check_q(q)
-    return _criterion(S, q)
-
-
-def _criterion(S: NumericalSemigroup, q: int) -> bool:
     gens = S.min_generators
     l1 = gens[0]
     conductor, bitmap = S.conductor, S.member_bitmap
@@ -286,7 +282,7 @@ def bound_report(S: NumericalSemigroup, q: int, method: str = "auto",
     ``method`` selects the set-difference computation: "auto" picks the
     closed form for two generators and the generic scan otherwise;
     "sum" and "closed" demand exactly two minimal generators.  On the
-    generic path the coincidence criterion short-circuits the scan;
+    generic path :func:`coincidence_criterion` short-circuits the scan;
     ``check`` re-verifies whatever was produced against the full scan.
     A multiplicity-1 semigroup warns as :func:`lewittes_bound` does, the
     warning attributed to the caller.
@@ -302,7 +298,7 @@ def bound_report(S: NumericalSemigroup, q: int, method: str = "auto",
     if l1 == 1:
         warnings.warn(_FULL_SEMIGROUP, stacklevel=2)
     lew = q * l1 + 1
-    criterion = _criterion(S, q)
+    criterion = coincidence_criterion(S, q)
 
     if method == "auto":
         method = "closed" if len(gens) == 2 else "generic"

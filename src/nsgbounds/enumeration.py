@@ -153,28 +153,28 @@ def _overrun(g: int) -> ResourceLimit:
     return ResourceLimit(f"node budget exhausted while computing genus {g}")
 
 
-def _expand(node: tuple) -> list[tuple]:
+def _expand(node: tuple, mask: int = -1) -> list[tuple]:
     """Children of a node, as plain tuples, in increasing removed-generator order.
 
-    ``_walk`` inlines the same expansion in its loop.
+    Only the children that remove a set bit of ``mask`` are built (by
+    default every child).  ``_walk`` inlines the same expansion in its loop.
     """
     bits, frobenius, genus, gens, m, mirror = node
     top = mirror.bit_length() - 1 - m  # mirror bit of x is top + m - x
     genus += 1
     out = []
-    effective = gens >> frobenius + 1 << frobenius + 1
-    if frobenius < m:  # an ordinary semigroup: removing m leaves <m+1, ..., 2m+1>
+    effective = gens >> frobenius + 1 << frobenius + 1 & mask
+    if effective >> m & 1:  # an ordinary semigroup: removing m leaves <m+1, ..., 2m+1>
         effective ^= 1 << m
         out.append((bits ^ 1 << m, m, genus, ((1 << m + 1) - 1) << m + 1, m + 1,
                     mirror ^ 1 << top))
+    new = _new_generators(node, effective)
     while effective:
         low = effective & -effective
         effective ^= low
         lam = low.bit_length() - 1
-        kid = gens ^ low
-        if not bits & (low - (2 << m)) & (mirror >> top - lam):
-            kid |= low << m
-        out.append((bits ^ low, lam, genus, kid, m, mirror ^ 1 << top + m - lam))
+        out.append((bits ^ low, lam, genus, gens ^ low | (new & low) << m, m,
+                    mirror ^ 1 << top + m - lam))
     return out
 
 
@@ -182,7 +182,9 @@ def _new_generators(node: tuple, mask: int) -> int:
     """The set bits lam of ``mask`` whose child gains the generator lam + m.
 
     ``mask`` holds effective generators of ``node`` other than its
-    multiplicity m; this is the one AND of ``_expand`` per bit.
+    multiplicity m.  This is the new-generator AND of the module
+    docstring, once per bit, for the cold callers (``_expand`` and
+    ``survey._gmgen_kernel``); ``_walk`` inlines it in its loop.
     """
     bits, _, _, _, m, mirror = node
     top = mirror.bit_length() - 1 - m

@@ -15,7 +15,7 @@ Every tally is an exact integer or Fraction; rendering to two decimals
 import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .bounds import coincidence_criterion, gm_generic
@@ -23,7 +23,6 @@ from .enumeration import (
     DEFAULT_NODE_BUDGET,
     TreeNode,
     _expand,
-    _least_nodes,
     _new_generators,
     enumerate_genus,  # noqa: F401  perfbench hooks survey.enumerate_genus
     map_reduce_genus,
@@ -223,11 +222,7 @@ def _lgm_kernel(q_list, rule, memo, parent):
             scan ^= low
             if (base + a * low) % _SAMPLE_PRIME < cut:
                 built |= low
-    pairs = []
-    if built:  # the child that removes lam has Frobenius number lam
-        for kid in _expand(parent):
-            if built >> kid[1] & 1:
-                pairs.append((_lgm_leaf(q_list, rule, kid), 1))
+    pairs = [(_lgm_leaf(q_list, rule, kid), 1) for kid in _expand(parent, built)] if built else []
     rest = effective ^ built
     if not rest:
         return pairs
@@ -287,15 +282,23 @@ def _lgm_kernel(q_list, rule, memo, parent):
     return pairs
 
 
-def _gmgen_leaf(lcm, leaf):
-    # the last slot is n_non/n_total scaled by ``lcm``, a multiple of n_total
+@lru_cache(maxsize=None)
+def _portion_scale(g: int) -> int:
+    """lcm(1, ..., g + 1): a genus-g semigroup has multiplicity at most g + 1, so
+    at most g + 1 minimal generators, and each leaf's n_non/n_total is an integer
+    over this."""
+    return math.lcm(*range(1, g + 2))
+
+
+def _gmgen_leaf(leaf):
+    # the last slot is n_non/n_total scaled by ``_portion_scale(genus)``, a multiple of n_total
     gens, m = leaf[3], leaf[4]
     n_gm = (gens & ((1 << 2 * m - 1) - 1)).bit_count()
     n_total = gens.bit_count()
-    return (1, n_gm, n_total - n_gm, (n_total - n_gm) * (lcm // n_total))
+    return (1, n_gm, n_total - n_gm, (n_total - n_gm) * (_portion_scale(leaf[2]) // n_total))
 
 
-def _gmgen_kernel(lcm, parent):
+def _gmgen_kernel(parent):
     """``_gmgen_leaf`` of every child of a raw parent, as (value, count) pairs.
 
     Only the child that removes the multiplicity m (of an ordinary
@@ -304,16 +307,17 @@ def _gmgen_kernel(lcm, parent):
     its value depends only on whether lam < 2m - 1 and whether lam + m is
     new: four classes, counted by popcount.
     """
-    _, frobenius, _, gens, m, _ = parent
+    _, frobenius, genus, gens, m, _ = parent
     effective = gens >> frobenius + 1 << frobenius + 1
     pairs = []
     if frobenius < m:  # its first child removes m
         effective ^= 1 << m
-        pairs.append((_gmgen_leaf(lcm, _expand(parent)[0]), 1))
+        pairs.append((_gmgen_leaf(_expand(parent, 1 << m)[0]), 1))
     new = _new_generators(parent, effective)
     below = (1 << 2 * m - 1) - 1
     n_gm = (gens & below).bit_count()
     n_total = gens.bit_count()
+    lcm = _portion_scale(genus + 1)
     for kids, gm in ((effective & below, n_gm - 1), (effective & ~below, n_gm)):
         for same, total in ((kids & new, n_total), (kids & ~new, n_total - 1)):
             if same:
@@ -378,22 +382,11 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
 def build_gmgen_table(genus_range, *, workers: int = 1,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> list[GmGenTableRow]:
     """Generator-classification means and portions per genus."""
-    # Row g walks at least ``_least_nodes(g)`` nodes, so no row after the first where these
-    # sum past the budget is walked; a genus-g semigroup has at most multiplicity <= g + 1
-    # minimal generators, so every per-leaf portion of a walked row is an integer over ``lcm``.
-    reach, least = [], 0
-    for g in genus_range:
-        reach.append(g)
-        least += _least_nodes(g)
-        if least > node_budget:
-            break
-    lcm = math.lcm(*range(1, max(reach, default=0) + 2))
-
     def make_row(g, acc):
-        return GmGenTableRow(g, *acc[:3], Fraction(acc[3], lcm))
+        return GmGenTableRow(g, *acc[:3], Fraction(acc[3], _portion_scale(g)))
 
-    return _build_rows(reach, partial(_gmgen_leaf, lcm), partial(_gmgen_kernel, lcm),
-                       (0, 0, 0, 0), make_row, workers, node_budget)
+    return _build_rows(genus_range, _gmgen_leaf, _gmgen_kernel, (0, 0, 0, 0), make_row,
+                       workers, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +495,11 @@ def gmgen_json(rows) -> dict:
 # reference comparison
 
 def _scaled100(cell: str) -> int:
-    # "42.86" -> 4286, "100" -> 10000, "1.5" -> 150
-    if "." in cell:
-        whole, frac = cell.split(".", 1)
-        return int(whole) * 100 + int(frac.ljust(2, "0")[:2])
-    return int(cell) * 100
+    # "42.86" -> 4286, "100" -> 10000, "1.5" -> 150; ValueError unless an unsigned decimal
+    whole, dot, frac = cell.partition(".")
+    if not (cell.isascii() and whole.isdigit() and (frac.isdigit() or not dot)):
+        raise ValueError(f"not an unsigned decimal: {cell!r}")
+    return int(whole) * 100 + int(frac.ljust(2, "0")[:2])
 
 
 def _parse_table_csv(text: str):

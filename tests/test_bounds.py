@@ -55,6 +55,29 @@ class TestLewittesSerre:
             assert serre_bound(1, q) - (q + 1) == math.isqrt(4 * q)
 
 
+# every public function that takes q, with its other arguments
+_Q_TAKERS = [(lewittes_bound, (S578,), ()), (serre_bound, (3,), ()),
+             (gm_generic, (S578,), ()), (gm_set, (S578,), ()),
+             (gm_two_gen_sum, (TwoGenSemigroup(5, 7),), ()),
+             (gm_two_gen_closed, (TwoGenSemigroup(5, 7),), ()),
+             (coincidence_criterion, (S578,), ()), (sufficient_condition, (S578,), ()),
+             (lemma_qd_condition, (5, 7), ()), (classify_generators, (S578,), ()),
+             (verify_index_reduction, (S578,), ([1],)), (bound_report, (S578,), ())]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("q", [0, -9])
+    @pytest.mark.parametrize("fn, lead, rest", _Q_TAKERS,
+                             ids=[fn.__name__ for fn, _, _ in _Q_TAKERS])
+    def test_q_below_one_is_rejected(self, fn, lead, rest, q):
+        with pytest.raises(ValueError, match="^field size parameter q must be positive$"):
+            fn(*lead, q, *rest)
+
+    def test_serre_rejects_a_negative_genus(self):
+        with pytest.raises(ValueError, match="^genus must be non-negative$"):
+            serre_bound(-1, 9)
+
+
 class TestGmForms:
     def test_generic_examples(self):
         assert gm_generic(S578, 9) == 46
@@ -338,6 +361,14 @@ class TestBoundReport:
     def test_check_mode_on_shortcut(self):
         rep = bound_report(S578, 9, method="generic", check=True)
         assert rep.gm == 46
+
+    @pytest.mark.parametrize("S, method", [(S578, "generic"), (S57, "closed"), (S57, "sum")])
+    def test_check_raises_when_the_full_scan_disagrees(self, monkeypatch, S, method):
+        monkeypatch.setattr(bounds, "gm_generic", lambda S, q: 1)
+        gm = bound_report(S, 9, method=method).gm
+        with pytest.raises(AssertionError, match=f"^set-difference re-verification failed: "
+                                                 f"{gm} != 1$"):
+            bound_report(S, 9, method=method, check=True)
 
     @pytest.mark.parametrize("check", [False, True])
     def test_one_full_scan_when_the_criterion_fails(self, monkeypatch, check):

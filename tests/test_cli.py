@@ -196,13 +196,14 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "--selfcheck applies to the lgm table only" in captured.err
 
-    # the last two share a genus and a column with the table, so only their
-    # ragged row and their repeated genus make them bad
+    # the last three share a genus and a column with the table, so only their
+    # ragged row, their repeated genus and their signed cell make them bad
     @pytest.mark.parametrize("reference", [
         None, "", "genus,x\nx,50.00\n", "genus,x\n2,half\n",
         pytest.param("genus,Lewittes = Geil-Matsumoto (q=2)\n2,50.00,1.00\n", id="ragged"),
         pytest.param("genus,Lewittes = Geil-Matsumoto (q=2)\n2,50.00\n2,50.00\n",
-                     id="repeated-genus")])
+                     id="repeated-genus"),
+        pytest.param("genus,Lewittes = Geil-Matsumoto (q=2)\n2,-0.50\n", id="signed")])
     def test_bad_reference_fails_before_the_walk(self, capsys, monkeypatch, tmp_path,
                                                   reference):
         path = tmp_path / "ref.csv"  # None: the file does not exist

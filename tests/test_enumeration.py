@@ -3,6 +3,7 @@
 import errno
 import gc
 import os
+import random
 import select
 import signal
 import time
@@ -197,14 +198,31 @@ class TestRawKernel:
             if node[2] < 14:
                 assert children(TreeNode._make(node)) == _expand(node)
 
+    def test_a_mask_builds_the_children_that_remove_its_bits(self):
+        # the child that removes lam has Frobenius number lam
+        for i, node in enumerate(self.raw_nodes(12)):
+            if node[2] < 12:
+                kids = _expand(node)
+                for mask in (0, 1 << node[4], random.Random(i).getrandbits(40) << 1):
+                    assert _expand(node, mask) == [kid for kid in kids if mask >> kid[1] & 1]
+
 
 class TestBudget:
     def test_budget_exceeded(self):
-        # every walk raises the one overrun, which names the genus it walks to
+        # every walk raises the one overrun, which names the genus it walks to;
+        # a budget below 1 raises before the walk starts
         for walk in (count_by_genus, enumerate_genus):
-            with pytest.raises(ResourceLimit,
-                               match="^node budget exhausted while computing genus 8$"):
-                walk(8, node_budget=10)
+            for g, budget in ((8, 10), (3, 0)):
+                with pytest.raises(ResourceLimit,
+                                   match=f"^node budget exhausted while computing genus {g}$"):
+                    walk(g, node_budget=budget)
+
+    @pytest.mark.parametrize("walk", [enumerate_genus, count_by_genus,
+                                      lambda g: map_reduce_genus(g, len, (0,))],
+                             ids=["enumerate_genus", "count_by_genus", "map_reduce_genus"])
+    def test_negative_genus_is_rejected(self, walk):
+        with pytest.raises(ValueError, match="^genus must be non-negative$"):
+            walk(-1)
 
     def test_budget_sufficient(self):
         assert enumerate_genus(5, node_budget=100) == 12

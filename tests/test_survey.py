@@ -64,6 +64,9 @@ class TestRendering:
             render_percent(3, 2)
         with pytest.raises(ValueError):
             render_percent(-1, 2)
+        for num, den in ((1, 0), (1, -2), (-1, 2)):
+            with pytest.raises(ValueError, match="num >= 0 and den > 0"):
+                render_fixed2(num, den)
 
 
 class TestLgmTable:
@@ -154,20 +157,20 @@ class TestGmGenTable:
         frac = payload["rows"][0]["mean_portion_non_gm"]
         assert frac == {"num": 5, "den": 12, "percent": "41.67"}
 
-    def test_a_deep_range_takes_the_lcm_of_the_rows_it_reaches(self, monkeypatch):
+    def test_a_deep_range_takes_no_lcm_past_the_rows_it_walks(self, monkeypatch):
         # rows 2 and 3 walk 4 + 8 nodes, so a budget of 10 overruns at genus
-        # 3; the least nodes of rows 2..5 already sum past it
+        # 3; each walked row scales by lcm(1..g+1), and no other is computed
         lcm, calls = math.lcm, []
 
         def spy(*args):
-            assert max(args, default=0) <= 100
-            calls.append(args)
+            calls.append(max(args))
             return lcm(*args)
 
         monkeypatch.setattr(math, "lcm", spy)
+        survey._portion_scale.cache_clear()
         with pytest.raises(ResourceLimit, match="^node budget exhausted while computing genus 3$"):
             build_gmgen_table(range(2, 300001), node_budget=10)
-        assert calls
+        assert 3 in calls and max(calls) <= 4
 
 
 class TestDeterminismAcrossWorkers:
@@ -191,9 +194,8 @@ class TestDeterminismAcrossWorkers:
                     (0,) * 5 + survey._UNCHECKED)
             kernel = partial(survey._lgm_kernel, q_list, rule, {})
         else:
-            lcm = math.lcm(*range(1, 14))
-            fold = partial(survey._gmgen_leaf, lcm), (0, 0, 0, 0)
-            kernel = partial(survey._gmgen_kernel, lcm)
+            fold = survey._gmgen_leaf, (0, 0, 0, 0)
+            kernel = survey._gmgen_kernel
         want = map_reduce_genus(12, *fold, kernel=kernel)
         assert kind == "gmgens" or len(want[0][-1]) > 100  # (q, generators) mismatches
         for workers in (2, 3, 4):
@@ -285,7 +287,8 @@ class TestReference:
         assert compare_tables(good, near)[1] == []  # within one ulp
         for bad, reason in (("genus,x\n2,50.00,1.00\n", "one number per column"),
                             ("genus,x\n2\n3,25.00\n", "one number per column"),
-                            ("genus,x\n2,50.00\n2,50.00\n", "repeats genus 2")):
+                            ("genus,x\n2,50.00\n2,50.00\n", "repeats genus 2"),
+                            ("genus,x\n2,-0.50\n3,25.00\n", "one number per column")):
             with pytest.raises(ValueError, match=reason):
                 compare_tables(good, bad)
 
@@ -384,7 +387,7 @@ class TestLeafKernels:
                 assert _lgm_leaf(self.Q, None, leaf) == (1, *coincide, *sufficient, 0, ())
                 cls = classify_generators(S, 2)
                 n_gm, n_non = len(cls.gm_generators), len(cls.non_gm_generators)
-                assert _gmgen_leaf(lcm, leaf) == (1, n_gm, n_non, n_non * (lcm // len(gens)))
+                assert _gmgen_leaf(leaf) == (1, n_gm, n_non, n_non * (lcm // len(gens)))
 
 
 def _parents(top):
@@ -427,7 +430,6 @@ class TestParentKernels:
 
     def test_gmgen_kernel_matches_the_leaves(self):
         for parent in _parents(14):
-            lcm = math.lcm(*range(1, parent[2] + 3))
-            want = _tally((_gmgen_leaf(lcm, kid), 1) for kid in _expand(parent))
-            assert _tally(_gmgen_kernel(lcm, parent))[0] == want[0]
+            want = _tally((_gmgen_leaf(kid), 1) for kid in _expand(parent))
+            assert _tally(_gmgen_kernel(parent))[0] == want[0]
 
