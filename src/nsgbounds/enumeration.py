@@ -55,13 +55,24 @@ row one unit after it happens.
 
 The pool for ``workers`` processes forks ``workers`` - 1 of them when
 its ``with`` block is entered, each already holding the fold's leaf
-function and kernel; the parent folds too.  All of them take units from
-one non-blocking queue pipe, where a fixed-size record names a unit as
-(genus, unit index, unit budget), found in each process's cached
-``_spine_split(genus)``; only records and the pickled unit results cross
-between processes, and no thread is started.  A fold that fails or
-stops early kills and reaps the workers, so a pool serves rows only
-until one of them fails (see ``_ForkPool.fold``).
+function and kernel (``_fold_unit``) and its own result pipe; the parent
+folds too.  All of them take units from one non-blocking queue pipe,
+where a fixed-size record names a unit as (genus, unit index, unit
+budget), found in each process's cached ``_spine_split(genus)``; only
+records and the pickled unit results cross between processes.  No
+thread is started: the parent folds units between reading results, and
+waits on the result pipes only when the queue is empty.  A fold that
+fails or stops early kills and reaps the workers, so a pool serves rows
+only until one of them fails (see ``_ForkPool.fold``).
+
+The pool's ``gc.freeze`` saves time, not memory.  On the gmgens
+benchmark (2 processes), without it the wall time rose 5.8% and the row
+p50 29% (4 of 4 pairs), and 7.8% and 31% (3 of 3) with the workers'
+collector disabled instead, while a worker's Private_Dirty (2.05-2.19
+MB) and Pss (6.96-7.12 MB) were the same with and without it.  So the
+saving lies in the parent's own collections after the fork, which leave
+the frozen objects alone.  That those collections would otherwise copy
+pages shared with the workers is an inference, not measured.
 
 Child expansion is all bitwise.  The effective generators are the set
 bits of gens_mask above the Frobenius number.  Removing one, lam, gives
@@ -86,6 +97,7 @@ generators and no tuple built per child.
 
 import contextlib
 import gc
+import math
 import operator
 import os
 import pickle
@@ -143,6 +155,8 @@ class TreeNode(NamedTuple):
 
 def root_node(max_genus: int) -> TreeNode:
     """The full semigroup, windowed for ``max_genus``: every walk and spine split starts here."""
+    if max_genus < 0:
+        raise ValueError("genus must be non-negative")
     # floor of 8 keeps the window usable even at genus 0
     full = (1 << max(3 * max_genus + 2, 8)) - 1
     return TreeNode(full, -1, 0, 2, 1, full)
@@ -157,7 +171,7 @@ def _expand(node: tuple, mask: int = -1) -> list[tuple]:
     """Children of a node, as plain tuples, in increasing removed-generator order.
 
     Only the children that remove a set bit of ``mask`` are built (by
-    default every child).  ``_walk`` inlines the same expansion in its loop.
+    default every child).
     """
     bits, frobenius, genus, gens, m, mirror = node
     top = mirror.bit_length() - 1 - m  # mirror bit of x is top + m - x
@@ -179,13 +193,8 @@ def _expand(node: tuple, mask: int = -1) -> list[tuple]:
 
 
 def _new_generators(node: tuple, mask: int) -> int:
-    """The set bits lam of ``mask`` whose child gains the generator lam + m.
-
-    ``mask`` holds effective generators of ``node`` other than its
-    multiplicity m.  This is the new-generator AND of the module
-    docstring, once per bit, for the cold callers (``_expand`` and
-    ``survey._gmgen_kernel``); ``_walk`` inlines it in its loop.
-    """
+    """The set bits lam of ``mask``, effective generators of ``node`` other than
+    its multiplicity m, whose child gains the generator lam + m."""
     bits, _, _, _, m, mirror = node
     top = mirror.bit_length() - 1 - m
     new = 0
@@ -231,25 +240,13 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
     ``leaf_fn`` (when given) receives each node at the target genus, a
     plain tuple in ``TreeNode`` field order, children taken in
     increasing removed-generator order.  With a ``tally`` dict, the walk
-    counts there how many leaves gave each value of ``leaf_fn``.  Returns
+    counts there how many leaves gave each value of ``leaf_fn``.  A
+    ``kernel`` (when given) evaluates the children of each node at genus
+    ``target_genus - 1`` that has any (see ``map_reduce_genus``).  Returns
     ``sizes``: ``sizes[h]`` is the number of nodes touched at genus h,
     for h in 0..target_genus.
 
-    Every popped node counts its children, its effective generators,
-    with one ``bit_count``.  A node above genus ``target_genus - 1``
-    then expands them in the loop, as ``_expand`` does, and pushes them
-    by decreasing removed generator, so they pop in increasing order;
-    a child with no effective generator is never built or pushed, since
-    its parent has counted it already.  The last level is fused into
-    its parent: a node at genus ``target_genus - 1`` never pushes its
-    children.  A ``kernel`` (when given) then evaluates them all at
-    once: ``kernel(parent)`` returns (value, count) pairs that count
-    each child once under its ``leaf_fn`` value (see
-    ``map_reduce_genus``).  Without one, the walk uses ``_per_leaf``,
-    which hands each child to ``leaf_fn``; without either, it builds no
-    child.  The kernel is not called for a parent without children.
-    Raises the one overrun, ResourceLimit "node budget exhausted while
-    computing genus ``target_genus``", as soon as the node count would
+    Raises ``_overrun(target_genus)`` as soon as the node count would
     exceed ``budget``, before the parent that crosses it expands or
     evaluates its children.  The count only rises, to the walk's total,
     so the walk raises exactly when it needs more nodes.
@@ -312,16 +309,12 @@ def enumerate_genus(g: int, visitor=None, *, node_budget: int = DEFAULT_NODE_BUD
     increasing removed-generator order.  Returns the number of
     semigroups visited.
     """
-    if g < 0:
-        raise ValueError("genus must be non-negative")
     leaf_fn = None if visitor is None else (lambda node: visitor(TreeNode.semigroup(node)))
     return _walk(root_node(g), g, node_budget, leaf_fn)[g]
 
 
 def count_by_genus(g_max: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
     """Number of numerical semigroups of each genus 0..g_max."""
-    if g_max < 0:
-        raise ValueError("genus must be non-negative")
     return _walk(root_node(g_max), g_max, node_budget)
 
 
@@ -354,11 +347,27 @@ def _fold_unit(record, map_fn, kernel, tally=None):
     return tally, sum(_walk(_spine_split(g)[1][i], g, budget, map_fn, tally, kernel))
 
 
-def _least_nodes(g: int) -> int:
-    """The nodes a walk to genus ``g`` touches at least: for g >= 2, its g - 2
-    spine nodes and the first node of each unit of ``_spine_split(g)``: the h
-    children other than O_{h+1} of each O_h with h < g - 2, and O_{g-2}."""
-    return 1 if g < 2 else g - 1 + (g - 2) * (g - 3) // 2
+def _least_nodes(g: int, budget: int) -> int:
+    """The nodes a walk to genus ``g`` touches at least, summed until they pass ``budget``.
+
+    For g >= 2 these are its g - 2 spine nodes, the first node of each
+    unit of ``_spine_split(g)`` (the h children other than O_{h+1} of each
+    O_h with h < g - 2, and O_{g-2}), and a bound on the leaves below
+    them.  A node with k effective generators has at least C(k, d)
+    descendants d levels down, since removing its i-th smallest leaves
+    the k - i larger ones effective.  O_{g-2} has g - 1 of them, and the
+    child of O_h that removes h + 1 + j has h - j, plus the new 2h + 3
+    when j = 1; so the units below O_h reach at least
+    C(h, d) + C(h - 1, d + 1) leaves, d = g - h - 1.
+    """
+    if g < 2:
+        return 1
+    nodes = g - 1 + (g - 2) * (g - 3) // 2 + math.comb(g - 1, 2)
+    for h in range(g - 3, 0, -1):  # from d = 2 up, so a deep row passes the budget in a few terms
+        if nodes > budget:
+            break
+        nodes += math.comb(h, g - h - 1) + math.comb(h - 1, g - h)
+    return nodes
 
 
 @lru_cache(maxsize=1)  # per process: the units of the row it folds
@@ -470,14 +479,7 @@ def _serve(queue: int, results: int, fold) -> None:
 
 
 class _ForkPool:
-    """Forked worker processes that fold queued units with the parent.
-
-    Each worker is forked holding the pool's fold, ``_fold_unit`` bound to
-    its ``map_fn`` and ``kernel``, and a result pipe; all of them, and the
-    parent, take records from one queue pipe.  No thread is started: the
-    caller's thread folds units between reading results, and waits on the
-    result pipes with ``select.poll`` only when the queue is empty.
-    """
+    """The pool of ``worker_pool``: see the module docstring."""
 
     def __init__(self, workers: int, map_fn, kernel):
         self.callables = (map_fn, kernel)
@@ -494,8 +496,7 @@ class _ForkPool:
         return tuple(pid for pid, _ in self._workers)
 
     def __enter__(self):
-        # Frozen objects are left alone by the workers' collections, so a
-        # worker does not copy the parent's pages by touching them.
+        # what the freeze saves: see the module docstring
         self._frozen = not gc.get_freeze_count()
         if self._frozen:
             gc.freeze()
@@ -690,8 +691,8 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     every unit: ``_walk``'s overrun (genus g) is raised, by one unit or by
     the total, exactly when the row needs more than ``node_budget`` nodes,
     at most one unit late, and a pool's workers are reaped first.  A row
-    that cannot walk its spine and the first node of every unit
-    (``_least_nodes``) raises before the split is built, at no cost.
+    whose spine, unit roots and least count of leaves (``_least_nodes``)
+    already pass ``node_budget`` raises before the split is built.
 
     A pool folds the ``map_fn`` and ``kernel`` it was made with, so
     ValueError is raised, before any unit is queued, if these are others.
@@ -706,7 +707,7 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         raise ValueError("genus must be non-negative")
     if pool is not None and pool.callables != (map_fn, kernel):
         raise ValueError("the pool was made for another map_fn or kernel")
-    if _least_nodes(g) > node_budget:
+    if _least_nodes(g, node_budget) > node_budget:
         raise _overrun(g)
     spine, units = _spine_split(g)
     budget = node_budget - spine

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .bounds import coincidence_criterion, gm_generic
+from .bounds import _check_q, coincidence_criterion, gm_generic
 from .enumeration import (
     DEFAULT_NODE_BUDGET,
     TreeNode,
@@ -356,8 +356,7 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
     q_list = tuple(q_list)
     if not q_list:
         raise ValueError("q_list must not be empty")
-    if min(q_list) < 1:
-        raise ValueError("field size parameter q must be positive")
+    _check_q(min(q_list))
     if len(set(q_list)) < len(q_list):
         raise ValueError("q values must be distinct")
     if selfcheck_seed is not None and selfcheck_seed < 0:
@@ -494,25 +493,36 @@ def gmgen_json(rows) -> dict:
 # ---------------------------------------------------------------------------
 # reference comparison
 
+def _digits(text: str) -> int:
+    # every number of a table is ASCII digits; int() alone also reads " 2", "+2", "\u0662"
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an unsigned integer: {text!r}")
+    return int(text)
+
+
 def _scaled100(cell: str) -> int:
     # "42.86" -> 4286, "100" -> 10000, "1.5" -> 150; ValueError unless an unsigned decimal
     whole, dot, frac = cell.partition(".")
-    if not (cell.isascii() and whole.isdigit() and (frac.isdigit() or not dot)):
-        raise ValueError(f"not an unsigned decimal: {cell!r}")
-    return int(whole) * 100 + int(frac.ljust(2, "0")[:2])
+    if dot:
+        _digits(frac)  # every digit is checked, and the first two are read
+    return _digits(whole) * 100 + int(frac.ljust(2, "0")[:2])
 
 
 def _parse_table_csv(text: str):
-    """(header, {genus: {col: (cell, hundredths)}}); ValueError on bad, ragged or repeated rows."""
+    """(header, {genus: {col: (cell, hundredths)}}); ValueError on a repeated column
+    and on bad, ragged or repeated rows."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines:
         raise ValueError("the table is empty")
     header = lines[0].split(",")
+    for i, col in enumerate(header):
+        if col in header[:i]:
+            raise ValueError(f"the header repeats column {col!r}")
     by_genus = {}
     for ln in lines[1:]:
         cells = ln.split(",")
         try:
-            genus = int(cells[0])
+            genus = _digits(cells[0])
             row = {col: (cell, _scaled100(cell))
                    for col, cell in zip(header[1:], cells[1:], strict=True)}
         except ValueError:

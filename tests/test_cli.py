@@ -23,6 +23,10 @@ from nsgbounds.cli import (
 from conftest import oracle_gm_count, run_python
 
 
+# the header of a reference whose one column the lgm table has
+_Q2 = "genus,Lewittes = Geil-Matsumoto (q=2)"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -196,19 +200,23 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "--selfcheck applies to the lgm table only" in captured.err
 
-    # the last three share a genus and a column with the table, so only their
-    # ragged row, their repeated genus and their signed cell make them bad
+    # the named ones share a column with the table, and genus 2 with --genus
+    # where int() reads their genus cell, so each is bad for its one flaw alone
     @pytest.mark.parametrize("reference", [
         None, "", "genus,x\nx,50.00\n", "genus,x\n2,half\n",
-        pytest.param("genus,Lewittes = Geil-Matsumoto (q=2)\n2,50.00,1.00\n", id="ragged"),
-        pytest.param("genus,Lewittes = Geil-Matsumoto (q=2)\n2,50.00\n2,50.00\n",
-                     id="repeated-genus"),
-        pytest.param("genus,Lewittes = Geil-Matsumoto (q=2)\n2,-0.50\n", id="signed")])
+        pytest.param(f"{_Q2}\n2,50.00,1.00\n", id="ragged"),
+        pytest.param(f"{_Q2}\n2,50.00\n2,50.00\n", id="repeated-genus"),
+        pytest.param(f"{_Q2}\n2,-0.50\n", id="signed"),
+        pytest.param(f"{_Q2}\n 2,50.00\n", id="spaced-genus"),
+        pytest.param(f"{_Q2}\n+2,50.00\n", id="signed-genus"),
+        pytest.param(f"{_Q2}\n\u0662,50.00\n", id="arabic-indic-genus"),
+        pytest.param(f"{_Q2},Lewittes = Geil-Matsumoto (q=2)\n2,9.99,50.00\n",
+                     id="repeated-column")])
     def test_bad_reference_fails_before_the_walk(self, capsys, monkeypatch, tmp_path,
                                                   reference):
         path = tmp_path / "ref.csv"  # None: the file does not exist
         if reference is not None:
-            path.write_text(reference)
+            path.write_text(reference, encoding="utf-8")
         monkeypatch.setattr(cli, "build_lgm_table", self._no_walk)
         code, out, err = run_cli(capsys, "table", "lgm", "--genus", "2..4",
                                  "--reference", str(path))

@@ -6,6 +6,7 @@ import os
 import random
 import select
 import signal
+import threading
 import time
 from functools import partial
 
@@ -217,9 +218,10 @@ class TestBudget:
                                    match=f"^node budget exhausted while computing genus {g}$"):
                     walk(g, node_budget=budget)
 
-    @pytest.mark.parametrize("walk", [enumerate_genus, count_by_genus,
+    @pytest.mark.parametrize("walk", [root_node, enumerate_genus, count_by_genus,
                                       lambda g: map_reduce_genus(g, len, (0,))],
-                             ids=["enumerate_genus", "count_by_genus", "map_reduce_genus"])
+                             ids=["root_node", "enumerate_genus", "count_by_genus",
+                                  "map_reduce_genus"])
     def test_negative_genus_is_rejected(self, walk):
         with pytest.raises(ValueError, match="^genus must be non-negative$"):
             walk(-1)
@@ -311,11 +313,13 @@ class TestMapReduce:
             with worker_pool(2, _one) as pool:
                 map_reduce_genus(8, _one, (0,), pool=pool, node_budget=20)
 
-    def test_pooled_overrun_leaves_no_unit_in_flight(self):
-        # a unit alone overruns 200; half the row overruns only in the
+    def test_pooled_overrun_leaves_no_unit_in_flight(self, monkeypatch):
+        # a unit alone overruns 200, which the guard's count of leaves
+        # would refuse before the fold; half the row overruns only in the
         # parent's running total, with units still queued or in flight;
         # a genus-13 row raises in every unit.  Each stops its pool before
         # the fold raises.
+        monkeypatch.setattr(enumeration, "_least_nodes", _spine_and_units)
         for g, budget, exc in ((12, 200, ResourceLimit),
                                (12, sum(A007323[:13]) // 2, ResourceLimit),
                                (13, 10 ** 6, ValueError)):
@@ -472,11 +476,13 @@ class TestForkPool:
         assert os.waitpid(pid, 0)[1] == 0
         os.close(result_r)
 
-    def test_a_row_larger_than_the_queue_overruns_as_in_one_process(self):
+    def test_a_row_larger_than_the_queue_overruns_as_in_one_process(self, monkeypatch):
         # genus 100 has 4,754 units: 76 KB of records, more than a 64 KiB
-        # pipe holds; a budget of the least the row walks queues them all
+        # pipe holds; a budget of its spine and units queues them all once
+        # the guard counts no leaves
         assert len(_spine_split(100)[1]) * _RECORD.size > 65536
-        budget = _least_nodes(100)
+        monkeypatch.setattr(enumeration, "_least_nodes", _spine_and_units)
+        budget = _spine_and_units(100, 0)
         assert budget == 4852
         with pytest.raises(ResourceLimit):
             map_reduce_genus(100, _one, (0,), node_budget=budget)
@@ -504,7 +510,8 @@ class TestForkPool:
         with worker_pool(2, _gens_fingerprint) as pool:
             pids = pool.pids
             with pytest.raises(ResourceLimit) as stopped:
-                map_reduce_genus(12, _gens_fingerprint, (0, 0, 0), pool=pool, node_budget=200)
+                # above the guard's 341, below the row's 1,413 nodes
+                map_reduce_genus(12, _gens_fingerprint, (0, 0, 0), pool=pool, node_budget=1000)
             assert_stopped(pool, pids)
         with worker_pool(2, _gens_fingerprint) as pool:  # the next row takes a fresh pool
             assert map_reduce_genus(12, _gens_fingerprint, (0, 0, 0), pool=pool) == want
@@ -541,6 +548,24 @@ class TestForkPool:
             for pid, result in pool._workers:
                 assert _pipe_ends(pid) - inherited == {(os.fstat(result).st_ino, os.O_WRONLY),
                                                        (queue, os.O_RDONLY)}
+
+    def test_every_fork_sees_one_thread(self, monkeypatch):
+        # the pool starts no thread, so it never forks a multi-threaded
+        # process (which Python 3.12 warns about): not at its start, and
+        # not after a fold, when the next pool starts
+        fork, threads = os.fork, []
+
+        def counted_fork():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        want = map_reduce_genus(10, _one, (0,))
+        for _ in range(2):
+            with worker_pool(3, _one) as pool:
+                assert map_reduce_genus(10, _one, (0,), pool=pool) == want
+                assert threading.active_count() == 1
+        assert threads == [1] * 4
 
     def test_gc_is_frozen_only_while_the_pool_is_open(self):
         gc.unfreeze()  # whatever an earlier test left frozen
@@ -691,10 +716,11 @@ class TestSpineSplit:
         enumerate_genus(g, lambda S: population.append(S.min_generators))
         assert sorted(tuple(bit_indices(leaf[3])) for leaf in leaves) == sorted(population)
 
-    def test_least_nodes_is_the_spine_and_a_node_per_unit(self):
-        for g in range(0, 61):
-            spine, units = _spine_split(g)
-            assert _least_nodes(g) == spine + len(units), g
+    def test_least_nodes_is_at_most_the_walk(self):
+        for g in range(0, 21):
+            nodes = sum(count_by_genus(g))
+            assert map_reduce_genus(g, _one, (0,), node_budget=nodes)[1] == nodes
+            assert _spine_and_units(g, 0) <= _least_nodes(g, nodes) <= nodes, g
 
     def test_a_deep_row_overruns_before_the_split(self, monkeypatch):
         def no_split(g):
@@ -703,6 +729,9 @@ class TestSpineSplit:
         monkeypatch.setattr(enumeration, "_spine_split", no_split)
         with pytest.raises(ResourceLimit, match="^node budget exhausted .* genus 600$"):
             map_reduce_genus(600, _one, (0,), node_budget=10)
+        # the default budget: the row's leaves alone need more
+        with pytest.raises(ResourceLimit, match="^node budget exhausted .* genus 40$"):
+            map_reduce_genus(40, _one, (0,))
 
     def test_largest_unit_is_small(self):
         spine, units = _spine_split(14)
@@ -712,6 +741,12 @@ class TestSpineSplit:
 
 def _one(S):
     return (1,)
+
+
+def _spine_and_units(g, budget):
+    """The row guard without its count of leaves: the spine and a node per unit."""
+    spine, units = _spine_split(g)
+    return spine + len(units)
 
 
 def _fail_past_12(leaf):

@@ -288,7 +288,11 @@ class TestReference:
         for bad, reason in (("genus,x\n2,50.00,1.00\n", "one number per column"),
                             ("genus,x\n2\n3,25.00\n", "one number per column"),
                             ("genus,x\n2,50.00\n2,50.00\n", "repeats genus 2"),
-                            ("genus,x\n2,-0.50\n3,25.00\n", "one number per column")):
+                            ("genus,x\n2,-0.50\n3,25.00\n", "one number per column"),
+                            ("genus,x\n 2,50.00\n", "not a genus"),
+                            ("genus,x\n+2,50.00\n", "not a genus"),
+                            ("genus,x\n\u0662,50.00\n", "not a genus"),
+                            ("genus,x,x\n2,9.99,50.00\n", "repeats column 'x'")):
             with pytest.raises(ValueError, match=reason):
                 compare_tables(good, bad)
 

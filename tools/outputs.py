@@ -14,7 +14,7 @@ names, in the same commit.  The runs cover both tables in every format at
 genus 0..22 for 1, 2 and 3 workers, the selfcheck, the reference
 comparisons, ``verify``, ``bounds`` and the node-budget overruns.
 argparse usage errors are left out, since their text varies across
-Python versions.  The 74 runs take about 20 s (2-core Xeon, Python 3.11).
+Python versions.  The 75 runs take about 20 s (2-core Xeon, Python 3.11).
 """
 
 import argparse
@@ -62,6 +62,7 @@ def _runs() -> dict[str, list[str]]:
     runs["overrun-deep-range"] = ["table", "gmgens", "--genus", "2..1000000000",
                                   "--node-budget", "10"]
     runs["overrun-genus-3000"] = ["table", "gmgens", "--genus", "3000", "--node-budget", "10"]
+    runs["overrun-genus-40"] = ["table", "gmgens", "--genus", "40"]  # the default budget
     return runs
 
 
