@@ -20,6 +20,7 @@ possible (see :func:`differential_sweep`).
 
 import enum
 import math
+import operator
 import warnings
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
@@ -82,7 +83,7 @@ class GenClassification(NamedTuple):
 
 
 def _check_q(q: int) -> None:
-    if q < 1:
+    if operator.index(q) < 1:  # TypeError for a float or a Fraction
         raise ValueError("field size parameter q must be positive")
 
 
@@ -101,7 +102,7 @@ def lewittes_bound(S: NumericalSemigroup, q: int) -> int:
 def serre_bound(g: int, q: int) -> int:
     """q + 1 + g*floor(2*sqrt(q)), using floor(2*sqrt(q)) = isqrt(4q)."""
     _check_q(q)
-    if g < 0:
+    if operator.index(g) < 0:
         raise ValueError("genus must be non-negative")
     return q + 1 + g * math.isqrt(4 * q)
 
@@ -169,15 +170,11 @@ def gm_two_gen_sum(S: TwoGenSemigroup, q: int) -> int:
 def gm_two_gen_closed(S: TwoGenSemigroup, q: int) -> int:
     """Closed form, equal to :func:`gm_two_gen_sum` for every input.
 
-    The nominal third case (q > ceil(q/a)*b) cannot occur when a < b,
-    since ceil(q/a)*b >= q*b/a > q; it is asserted dead rather than
-    implemented.
+    The nominal third case (q > ceil(q/a)*b) cannot occur when a < b, since
+    ceil(q/a)*b >= q*b/a > q; it is asserted dead rather than implemented.
     """
     _check_q(q)
-    return _gm_closed(S.a, S.b, q)
-
-
-def _gm_closed(a: int, b: int, q: int) -> int:
+    a, b = S.a, S.b
     floor_q, r = divmod(q, a)
     if q <= floor_q * b:
         return 1 + q * a
@@ -298,20 +295,19 @@ def bound_report(S: NumericalSemigroup, q: int, method: str = "auto",
     if l1 == 1:
         warnings.warn(_FULL_SEMIGROUP, stacklevel=2)
     lew = q * l1 + 1
-    criterion = coincidence_criterion(S, q)
 
     if method == "auto":
         method = "closed" if len(gens) == 2 else "generic"
-    # the full scan, run once when the generic path or ``check`` needs it
-    full = gm_generic(S, q) if check or (method == "generic" and not criterion) else None
+    # the full scan, run once: with ``check`` the generic path reuses it (never 0)
+    full = gm_generic(S, q) if check else None
     if method == "closed":
-        gm = _gm_closed(*gens, q)
+        gm = gm_two_gen_closed(TwoGenSemigroup(*gens), q)
         gm_method = GmMethod.TWO_GEN_CLOSED
     elif method == "sum":
         gm = gm_two_gen_sum(TwoGenSemigroup(*gens), q)
         gm_method = GmMethod.TWO_GEN_SUM
     else:
-        gm = lew if criterion else full
+        gm = lew if coincidence_criterion(S, q) else full or gm_generic(S, q)
         gm_method = GmMethod.GENERIC_SET_DIFFERENCE
     if check and gm != full:
         raise AssertionError(f"set-difference re-verification failed: {gm} != {full}")

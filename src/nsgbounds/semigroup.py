@@ -216,10 +216,8 @@ class TwoGenSemigroup(_TwoGenFields):
 
 
 def is_member_two_gen(S: TwoGenSemigroup, i: int) -> bool:
-    """O(1) membership: b * ((i*c) mod a) <= i."""
-    if i < 0:
-        return False
-    return S.b * ((i * S.c) % S.a) <= i
+    """O(1) membership: :func:`unique_representation` finds a representation."""
+    return unique_representation(S, i) is not None
 
 
 def unique_representation(S: TwoGenSemigroup, i: int) -> tuple[int, int] | None:

@@ -356,7 +356,8 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
     q_list = tuple(q_list)
     if not q_list:
         raise ValueError("q_list must not be empty")
-    _check_q(min(q_list))
+    for q in q_list:
+        _check_q(q)
     if len(set(q_list)) < len(q_list):
         raise ValueError("q values must be distinct")
     if selfcheck_seed is not None and selfcheck_seed < 0:

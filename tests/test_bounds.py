@@ -1,6 +1,7 @@
 """Bound formulas, coincidence criteria and generator classification."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from nsgbounds import (
     SingleGenerator,
     TwoGenSemigroup,
     bound_report,
+    build_lgm_table,
     classify_generators,
     coincidence_criterion,
     enumerate_genus,
@@ -73,9 +75,29 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="^field size parameter q must be positive$"):
             fn(*lead, q, *rest)
 
+    # a q that is not an int would turn the exact results into floats
+    @pytest.mark.parametrize("q", [9.5, 9.0, Fraction(19, 2)], ids=repr)
+    @pytest.mark.parametrize("fn, lead, rest", _Q_TAKERS,
+                             ids=[fn.__name__ for fn, _, _ in _Q_TAKERS])
+    def test_q_that_is_not_an_int_is_rejected(self, fn, lead, rest, q):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            fn(*lead, q, *rest)
+
+    @pytest.mark.parametrize("q", [9.5, 9.0, Fraction(19, 2)], ids=repr)
+    def test_every_q_of_a_list_is_checked(self, q):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build_lgm_table(range(2, 4), [2, q])
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            differential_sweep(3, 4, [2, q])
+
     def test_serre_rejects_a_negative_genus(self):
         with pytest.raises(ValueError, match="^genus must be non-negative$"):
             serre_bound(-1, 9)
+
+    @pytest.mark.parametrize("g", [2.5, 2.0, Fraction(5, 2)], ids=repr)
+    def test_serre_rejects_a_genus_that_is_not_an_int(self, g):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            serre_bound(g, 9)
 
 
 class TestGmForms:
@@ -369,6 +391,26 @@ class TestBoundReport:
         with pytest.raises(AssertionError, match=f"^set-difference re-verification failed: "
                                                  f"{gm} != 1$"):
             bound_report(S, 9, method=method, check=True)
+
+    @pytest.mark.parametrize("method, name", [("auto", "gm_two_gen_closed"),
+                                              ("closed", "gm_two_gen_closed"),
+                                              ("sum", "gm_two_gen_sum")])
+    def test_two_gen_forms_are_the_public_functions(self, monkeypatch, method, name):
+        calls = []
+        monkeypatch.setattr(bounds, name, lambda two, q: calls.append((two, q)) or 45)
+        rep = bound_report(S57, 9, method=method)
+        assert rep.gm == 45 and not rep.coincide
+        assert calls == [(TwoGenSemigroup(5, 7), 9)]
+
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("method", ["auto", "closed", "sum"])
+    def test_two_gen_forms_skip_the_criterion(self, monkeypatch, method, check):
+        def criterion(S, q):
+            raise AssertionError("the criterion runs only on the generic path")
+
+        monkeypatch.setattr(bounds, "coincidence_criterion", criterion)
+        for q in (2, 3, 9, 16, 256):
+            assert bound_report(S57, q, method=method, check=check).gm == gm_generic(S57, q)
 
     @pytest.mark.parametrize("check", [False, True])
     def test_one_full_scan_when_the_criterion_fails(self, monkeypatch, check):

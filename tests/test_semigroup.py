@@ -22,6 +22,7 @@ from nsgbounds import (
     is_member_two_gen,
     unique_representation,
 )
+from nsgbounds import semigroup
 
 from conftest import oracle_gap_sets, oracle_members_upto, oracle_two_gen_members
 
@@ -233,6 +234,11 @@ class TestTwoGen:
         assert unique_representation(T, 24) == (2, 2)
         assert unique_representation(T, 23) is None
         assert unique_representation(T, -5) is None
+
+    def test_membership_is_the_representation(self, monkeypatch):
+        T = TwoGenSemigroup(5, 7)
+        monkeypatch.setattr(semigroup, "unique_representation", lambda S, i: None)
+        assert not is_member_two_gen(T, 24) and 24 not in T
 
     def test_representation_properties(self):
         for a, b in [(2, 3), (5, 7), (8, 13), (12, 25)]:

@@ -12,9 +12,9 @@ to this script.  Run from anywhere:
 A change that means to alter some output re-captures only the runs it
 names, in the same commit.  The runs cover both tables in every format at
 genus 0..22 for 1, 2 and 3 workers, the selfcheck, the reference
-comparisons, ``verify``, ``bounds`` and the node-budget overruns.
+comparisons, ``verify``, ``bounds``, ``member`` and the node-budget overruns.
 argparse usage errors are left out, since their text varies across
-Python versions.  The 75 runs take about 20 s (2-core Xeon, Python 3.11).
+Python versions.  The 88 runs take about 20 s (2-core Xeon, Python 3.11).
 """
 
 import argparse
@@ -55,6 +55,16 @@ def _runs() -> dict[str, list[str]]:
     for method in ("auto", "generic", "sum", "closed"):
         runs[f"bounds-5,7-q9-{method}"] = ["bounds", "--gens", "5,7", "--q", "9",
                                            "--method", method]
+    for q in (2, 3, 9, 16, 256):
+        runs[f"bounds-5,7-q{q}-check-json"] = [
+            "bounds", "--gens", "5,7", "--q", str(q), "--check", "--format", "json"]
+    runs["bounds-5,7-q9-sum-check"] = ["bounds", "--gens", "5,7", "--q", "9",
+                                       "--method", "sum", "--check"]
+    for value in (23, 24, -1):
+        for fmt in ("text", "json"):
+            runs[f"member-5,7-v{value}-{fmt}"] = [
+                "member", "--gens", "5,7", "--value", str(value), "--format", fmt]
+    runs["member-5,7,18-v16"] = ["member", "--gens", "5,7,18", "--value", "16"]
     for workers in (1, 2):
         runs[f"overrun-2..16-w{workers}"] = [
             "table", "gmgens", "--genus", "2..16", "--node-budget", "20000",
