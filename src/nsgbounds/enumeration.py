@@ -24,10 +24,10 @@ reads its last entry, and ``map_reduce_genus`` folds the leaves of
 subtrees.  Each node it pops counts all its children, its effective
 generators, with one ``bit_count``.  Above the last level the walk
 expands the node in its own loop, the same expansion as ``_expand``
-(which serves the cold callers: ``children``, the spine split, the
-per-leaf adapter and the kernels), and pushes only the children that
-have children in turn: a child without an effective generator is
-counted at its parent and never built or pushed.  The last level is
+(which serves the cold callers: ``children``, the units, the per-leaf
+adapter and the kernels), and pushes only the children that have
+children in turn: a child without an effective generator is counted at
+its parent and never built or pushed.  The last level is
 fused into its parent: a node one genus above the target never pushes
 its children.  A walk without a callback stops there.  Otherwise a
 per-parent kernel evaluates the children: it returns (value, count)
@@ -41,29 +41,32 @@ A fold tallies identical leaf values and merges each distinct value
 once per fold.
 
 Every fold splits the tree along the spine of ordinary semigroups
-O_h = <h+1, ..., 2h+1>.  Every generator of O_h exceeds its Frobenius
-number h, so its first child removes the multiplicity and is O_{h+1};
-nearly all of the tree hangs below the spine, so a split at a fixed
-depth leaves one unit holding almost every node.  ``_spine_split``
-walks the spine down to genus g - 2 and makes each of its other
-children, and its last node, a unit: at genus 17 that is 106 units, the
-largest with 11.7% of the nodes.  A fold walks its units in this
-process, or on a pool from ``worker_pool`` that serves the rows of a
-table; either way the unit tallies are merged in unit order, and the
-row's node budget is checked after each unit, so an overrun stops the
-row one unit after it happens.
+O_h = <h+1, ..., 2h+1> (``_ordinary``).  Every generator of O_h exceeds
+its Frobenius number h, so its first child removes the multiplicity and
+is O_{h+1}; nearly all of the tree hangs below the spine, so a split at
+a fixed depth leaves one unit holding almost every node.  A row of genus
+g counts its max(g - 2, 0) spine nodes O_0, ..., O_{g-3} itself, and a
+unit is named by its spine node (``_unit``): unit i < g - 3 is the
+i + 1 side children of O_{i+1}, its children other than O_{i+2}, walked
+as one stack in increasing removed generator, and the last unit is
+O_{g-2}, or the root below genus 3.  So a row has max(g - 3, 0) + 1
+units: at genus 17 that is 15, the largest with 15.1% of the nodes.  A
+fold walks its units in this process, or on a pool from
+``worker_pool`` that serves the rows of a table; either way the unit
+tallies are merged in unit order, and the row's node budget is checked
+after each unit, so an overrun stops the row one unit after it happens.
 
 The pool for ``workers`` processes forks ``workers`` - 1 of them when
 its ``with`` block is entered, each already holding the fold's leaf
 function and kernel (``_fold_unit``) and its own result pipe; the parent
 folds too.  All of them take units from one non-blocking queue pipe,
 where a fixed-size record names a unit as (genus, unit index, unit
-budget), found in each process's cached ``_spine_split(genus)``; only
-records and the pickled unit results cross between processes.  No
-thread is started: the parent folds units between reading results, and
-waits on the result pipes only when the queue is empty.  A fold that
-fails or stops early kills and reaps the workers, so a pool serves rows
-only until one of them fails (see ``_ForkPool.fold``).
+budget), which each process builds from its spine node; only records
+and the pickled unit results cross between processes.  No thread is
+started: the parent folds units between reading results, and waits on
+the result pipes only when the queue is empty.  A fold that fails or
+stops early kills and reaps the workers, so a pool serves rows only
+until one of them fails (see ``_ForkPool.fold``).
 
 The pool's ``gc.freeze`` saves time, not memory.  On the gmgens
 benchmark (2 processes), without it the wall time rose 5.8% and the row
@@ -104,7 +107,7 @@ import pickle
 import select
 import signal
 import struct
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple
 
 from .errors import NsgError, ResourceLimit
@@ -154,12 +157,23 @@ class TreeNode(NamedTuple):
 
 
 def root_node(max_genus: int) -> TreeNode:
-    """The full semigroup, windowed for ``max_genus``: every walk and spine split starts here."""
+    """The full semigroup, windowed for ``max_genus``: every walk and spine starts here."""
     if max_genus < 0:
         raise ValueError("genus must be non-negative")
+    return TreeNode._make(_ordinary(0, max_genus))
+
+
+def _ordinary(h: int, g: int) -> tuple:
+    """O_h = <h+1, ..., 2h+1>, the spine node of genus h, windowed for genus ``g``.
+
+    Its members are 0 and every integer above h, its Frobenius number is
+    h (-1 for O_0, the full semigroup) and its multiplicity h + 1.
+    """
     # floor of 8 keeps the window usable even at genus 0
-    full = (1 << max(3 * max_genus + 2, 8)) - 1
-    return TreeNode(full, -1, 0, 2, 1, full)
+    width = max(3 * g + 2, 8)
+    full = (1 << width) - 1
+    return (full ^ (2 << h) - 2, h or -1, h, ((1 << h + 1) - 1) << h + 1, h + 1,
+            full ^ ((1 << h) - 1) << width - 1 - h)
 
 
 def _overrun(g: int) -> ResourceLimit:
@@ -233,9 +247,11 @@ def children(node: TreeNode) -> list[TreeNode]:
     return [TreeNode._make(kid) for kid in _expand(node)]
 
 
-def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
+def _walk(starts: list, target_genus: int, budget: int, leaf_fn=None,
           tally=None, kernel=None) -> list[int]:
-    """Depth-first walk from the node ``start`` down to ``target_genus``.
+    """Depth-first walk from the nodes ``starts``, all of one genus, down to ``target_genus``.
+
+    The subtrees of ``starts`` are walked in list order, as one stack.
 
     ``leaf_fn`` (when given) receives each node at the target genus, a
     plain tuple in ``TreeNode`` field order, children taken in
@@ -252,20 +268,22 @@ def _walk(start: tuple, target_genus: int, budget: int, leaf_fn=None,
     so the walk raises exactly when it needs more nodes.
     """
     sizes = [0] * (target_genus + 1)
-    if budget < 1:
+    nodes = len(starts)
+    if nodes > budget:
         raise _overrun(target_genus)
-    sizes[start[2]] = 1
-    if start[2] == target_genus:  # ``start`` is the only leaf
+    genus = starts[0][2]
+    sizes[genus] = nodes
+    if genus == target_genus:  # the starts are the only leaves
         if leaf_fn is not None:
-            value = leaf_fn(start)
-            if tally is not None:
-                tally[value] = tally.get(value, 0) + 1
+            for start in starts:
+                value = leaf_fn(start)
+                if tally is not None:
+                    tally[value] = tally.get(value, 0) + 1
         return sizes
     if kernel is None and leaf_fn is not None:
         kernel = partial(_per_leaf, leaf_fn)
     get = None if tally is None else tally.get
-    nodes = 1
-    stack = [start]
+    stack = starts[::-1]
     push = stack.append
     while stack:
         node = stack.pop()
@@ -310,12 +328,12 @@ def enumerate_genus(g: int, visitor=None, *, node_budget: int = DEFAULT_NODE_BUD
     semigroups visited.
     """
     leaf_fn = None if visitor is None else (lambda node: visitor(TreeNode.semigroup(node)))
-    return _walk(root_node(g), g, node_budget, leaf_fn)[g]
+    return _walk([root_node(g)], g, node_budget, leaf_fn)[g]
 
 
 def count_by_genus(g_max: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
     """Number of numerical semigroups of each genus 0..g_max."""
-    return _walk(root_node(g_max), g_max, node_budget)
+    return _walk([root_node(g_max)], g_max, node_budget)
 
 
 def tuple_add(x: tuple, y: tuple) -> tuple:
@@ -337,28 +355,27 @@ def _add_times(add_fn, acc, value, count: int):
 def _fold_unit(record, map_fn, kernel, tally=None):
     """Walk the unit that a (genus, unit index, unit budget) record names.
 
-    The unit is ``_spine_split(genus)``'s, so every process, worker or
-    parent, finds the same one.  Returns (tally, nodes walked), counting
-    into ``tally`` if given.
+    Every process, worker or parent, builds the same unit (``_unit``).
+    Returns (tally, nodes walked), counting into ``tally`` if given.
     """
     g, i, budget = record
     if tally is None:
         tally = {}
-    return tally, sum(_walk(_spine_split(g)[1][i], g, budget, map_fn, tally, kernel))
+    return tally, sum(_walk(_unit(g, i), g, budget, map_fn, tally, kernel))
 
 
 def _least_nodes(g: int, budget: int) -> int:
     """The nodes a walk to genus ``g`` touches at least, summed until they pass ``budget``.
 
-    For g >= 2 these are its g - 2 spine nodes, the first node of each
-    unit of ``_spine_split(g)`` (the h children other than O_{h+1} of each
-    O_h with h < g - 2, and O_{g-2}), and a bound on the leaves below
-    them.  A node with k effective generators has at least C(k, d)
-    descendants d levels down, since removing its i-th smallest leaves
-    the k - i larger ones effective.  O_{g-2} has g - 1 of them, and the
-    child of O_h that removes h + 1 + j has h - j, plus the new 2h + 3
-    when j = 1; so the units below O_h reach at least
-    C(h, d) + C(h - 1, d + 1) leaves, d = g - h - 1.
+    For g >= 2 these are its g - 2 spine nodes, the nodes of its units
+    (``_unit``: the h side children of each O_h with 0 < h < g - 2, and
+    O_{g-2}), and a bound on the leaves below them.  A node with k
+    effective generators has at least C(k, d) descendants d levels down,
+    since removing its i-th smallest leaves the k - i larger ones
+    effective.  O_{g-2} has g - 1 of them, and the child of O_h that
+    removes h + 1 + j has h - j, plus the new 2h + 3 when j = 1; so the
+    units below O_h reach at least C(h, d) + C(h - 1, d + 1) leaves,
+    d = g - h - 1.
     """
     if g < 2:
         return 1
@@ -370,23 +387,22 @@ def _least_nodes(g: int, budget: int) -> int:
     return nodes
 
 
-@lru_cache(maxsize=1)  # per process: the units of the row it folds
-def _spine_split(g: int) -> tuple[int, tuple]:
-    """Split the walk to genus ``g`` into units along the ordinary spine.
+def _units(g: int) -> int:
+    """The number of units of the row of genus ``g``: max(g - 3, 0) + 1."""
+    return max(g - 3, 0) + 1
 
-    Returns (spine, units): the number of spine nodes expanded here, and
-    nodes whose subtrees, walked to genus ``g``, touch every other
-    node of the walk exactly once.
+
+def _unit(g: int, i: int) -> list[tuple]:
+    """The nodes of unit ``i`` of the row of genus ``g``, all of one genus.
+
+    Unit i < g - 3 is the side children of O_{i+1}, those that keep its
+    multiplicity i + 2, and the last unit is O_{g-2}, or the root below
+    genus 3.  With the max(g - 2, 0) spine nodes above them, the units'
+    subtrees, walked to genus ``g``, touch every node of the walk once.
     """
-    node = root_node(g)
-    spine = 0
-    units = []
-    while node[2] < g - 2:
-        node, *rest = _expand(node)
-        spine += 1
-        units += rest
-    units.append(node)
-    return spine, tuple(units)
+    if i < g - 3:
+        return _expand(_ordinary(i + 1, g), ~(1 << i + 2))
+    return [_ordinary(max(g - 2, 0), g)]
 
 
 # A queue record: the genus, the unit's index and its node budget, which
@@ -572,7 +588,7 @@ class _ForkPool:
         budget at most 2**63 - 1, and folded by whichever process takes
         it, the parent too.  The queue's write end is non-blocking, and the
         parent tops it up in whole writes of up to PIPE_BUF bytes as
-        records are taken, so a row may have more units than a pipe holds.
+        records are taken, so ``count`` may pass what a pipe holds.
         An exception from a unit is raised here in its unit's turn.  A
         worker that dies, or a failed read, write or poll of the pool's
         pipes, raises NsgError.  A fold that raises, or whose iterator is
@@ -681,18 +697,19 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     order.
 
     The walk is split along the ordinary-semigroup spine (see the module
-    docstring) and each unit is tallied on its own: in this process, or,
-    when ``pool`` (a pool from ``worker_pool``) is given, by the pool's
-    workers and this process, which take the units from one queue and
-    find them by genus and index; the workers send back their tallies.
+    docstring): the spine nodes are counted here, and each unit is
+    tallied on its own: in this process, or, when ``pool`` (a pool from
+    ``worker_pool``) is given, by the pool's workers and this process,
+    which take the units from one queue and find them by genus and
+    index; the workers send back their tallies.
     Tallies are merged in unit order, so the aggregate and the number of
     nodes walked do not depend on the pool.  Each unit walks under the
     budget left after the spine, and the running total is checked after
     every unit: ``_walk``'s overrun (genus g) is raised, by one unit or by
     the total, exactly when the row needs more than ``node_budget`` nodes,
     at most one unit late, and a pool's workers are reaped first.  A row
-    whose spine, unit roots and least count of leaves (``_least_nodes``)
-    already pass ``node_budget`` raises before the split is built.
+    whose spine, unit nodes and least count of leaves (``_least_nodes``)
+    already pass ``node_budget`` raises before a unit is built.
 
     A pool folds the ``map_fn`` and ``kernel`` it was made with, so
     ValueError is raised, before any unit is queued, if these are others.
@@ -709,13 +726,13 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         raise ValueError("the pool was made for another map_fn or kernel")
     if _least_nodes(g, node_budget) > node_budget:
         raise _overrun(g)
-    spine, units = _spine_split(g)
+    spine, count = max(g - 2, 0), _units(g)
     budget = node_budget - spine
     tally = {}
     if pool is None:  # every unit counts straight into ``tally``
-        parts = (_fold_unit((g, i, budget), map_fn, kernel, tally) for i in range(len(units)))
+        parts = (_fold_unit((g, i, budget), map_fn, kernel, tally) for i in range(count))
     else:
-        parts = pool.fold(g, len(units), budget)
+        parts = pool.fold(g, count, budget)
     total = spine
     get = tally.get
     for part, nodes in parts:  # a unit that overruns alone raises here

@@ -31,11 +31,13 @@ from nsgbounds.enumeration import (
     _expand,
     _fold_unit,
     _least_nodes,
+    _ordinary,
     _per_leaf,
     _recv,
     _serve,
-    _spine_split,
     _take,
+    _unit,
+    _units,
     _walk,
     tuple_add,
 )
@@ -446,12 +448,12 @@ class TestForkPool:
             for g in range(13):
                 want = map_reduce_genus(g, _gens_fingerprint, (0, 0, 0))
                 assert map_reduce_genus(g, _gens_fingerprint, (0, 0, 0), pool=pool) == want
-        assert [len(_spine_split(g)[1]) for g in range(4)] == [1, 1, 1, 1]
+        assert [_units(g) for g in range(4)] == [1, 1, 1, 1]
 
     def test_a_worker_folds_the_units_of_each_record_genus(self):
         # the records of two rows, interleaved: each names a unit of its own genus
         records = sorted(((g, i, 10 ** 6) for g in (9, 11)
-                          for i in range(len(_spine_split(g)[1]))), key=lambda r: r[1])
+                          for i in range(_units(g))), key=lambda r: r[1])
         queue_r, queue_w = os.pipe()
         os.set_blocking(queue_r, False)
         result_r, result_w = os.pipe()
@@ -477,13 +479,15 @@ class TestForkPool:
         os.close(result_r)
 
     def test_a_row_larger_than_the_queue_overruns_as_in_one_process(self, monkeypatch):
-        # genus 100 has 4,754 units: 76 KB of records, more than a 64 KiB
-        # pipe holds; a budget of its spine and units queues them all once
-        # the guard counts no leaves
-        assert len(_spine_split(100)[1]) * _RECORD.size > 65536
-        monkeypatch.setattr(enumeration, "_least_nodes", _spine_and_units)
-        budget = _spine_and_units(100, 0)
-        assert budget == 4852
+        # a genus-100 row of 5,000 one-leaf units: 80 KB of records, more
+        # than a 64 KiB pipe holds; the budget runs out at unit 4,901, so
+        # the queue was topped up, and the guard counts no leaves
+        monkeypatch.setattr(enumeration, "_units", lambda g: 5000)
+        monkeypatch.setattr(enumeration, "_unit", lambda g, i: [_ordinary(g, g)])
+        monkeypatch.setattr(enumeration, "_least_nodes", lambda g, budget: 0)
+        assert 5000 * _RECORD.size > 65536
+        budget = 98 + 4900  # the spine and 4,900 units
+        assert map_reduce_genus(100, _one, (0,), node_budget=budget + 100) == ((5000,), 5098)
         with pytest.raises(ResourceLimit):
             map_reduce_genus(100, _one, (0,), node_budget=budget)
         with worker_pool(2, _one) as pool:
@@ -498,10 +502,12 @@ class TestForkPool:
         # the merged list of leaves shows the order the units were merged in
         units = []
         for g in (15, 14):
-            _walk(root_node(15), g, 10 ** 6, units.append)
-        monkeypatch.setattr(enumeration, "_spine_split", lambda g: (0, tuple(units)))
+            _walk([root_node(15)], g, 10 ** 6, units.append)
+        monkeypatch.setattr(enumeration, "_units", lambda g: len(units))
+        monkeypatch.setattr(enumeration, "_unit", lambda g, i: [units[i]])
         want = map_reduce_genus(15, _gens_list, (0, ()))
-        assert want == ((2 * A007323[15], want[0][1]), len(units) + A007323[15])
+        # 13 spine nodes, a node per unit, and the genus-14 units' children
+        assert want == ((2 * A007323[15], want[0][1]), 13 + len(units) + A007323[15])
         with worker_pool(3, _gens_list) as pool:
             assert map_reduce_genus(15, _gens_list, (0, ()), pool=pool) == want
 
@@ -519,7 +525,7 @@ class TestForkPool:
     def test_closing_a_fold_early_stops_the_pool(self):
         with worker_pool(2, _one) as pool:
             pids = pool.pids
-            fold = pool.fold(14, len(_spine_split(14)[1]), 10 ** 6)
+            fold = pool.fold(14, _units(14), 10 ** 6)
             next(fold)  # the other units are queued or in flight
             fold.close()
             assert_stopped(pool, pids)
@@ -529,7 +535,7 @@ class TestForkPool:
         with pytest.raises(exc):
             with worker_pool(2, _one) as pool:
                 pids = pool.pids
-                fold = pool.fold(14, len(_spine_split(14)[1]), 10 ** 6)
+                fold = pool.fold(14, _units(14), 10 ** 6)
                 next(fold)  # the other units are queued or in flight
                 raise exc
         assert_reaped(pids)
@@ -630,7 +636,7 @@ class TestFusedWalk:
         want = []
         descend(root_node(12), want)
         got = []
-        _walk(root_node(12), 12, 10 ** 6, got.append)
+        _walk([root_node(12)], 12, 10 ** 6, got.append)
         assert got == want
 
     def test_inline_expansion_matches_children(self):
@@ -646,7 +652,7 @@ class TestFusedWalk:
         descend(root_node(14))
         for target in range(1, 15):
             seen = []
-            sizes = _walk(root_node(14), target, 10 ** 6,
+            sizes = _walk([root_node(14)], target, 10 ** 6,
                           kernel=lambda parent: seen.append(parent) or [])
             assert seen == [p for p in levels[target - 1] if p[3] >> p[1] + 1], target
             assert sizes == [len(level) for level in levels[:target + 1]], target
@@ -662,9 +668,9 @@ class TestFusedWalk:
                 if budget < total:
                     with pytest.raises(ResourceLimit, match=f"^node budget exhausted "
                                                             f"while computing genus {g}$"):
-                        _walk(root_node(g), g, budget, leaf_fn, tally, kernel)
+                        _walk([root_node(g)], g, budget, leaf_fn, tally, kernel)
                 else:
-                    sizes = _walk(root_node(g), g, budget, leaf_fn, tally, kernel)
+                    sizes = _walk([root_node(g)], g, budget, leaf_fn, tally, kernel)
                     assert sizes == list(A007323[:g + 1])
                     assert sum(tally.values()) == (0 if leaf_fn is None else A007323[g])
 
@@ -676,23 +682,24 @@ class TestFusedWalk:
             return _per_leaf(_gens_fingerprint, parent)
 
         tally = {}
-        sizes = _walk(root_node(12), 12, 10 ** 6, _gens_fingerprint, tally, kernel)
+        sizes = _walk([root_node(12)], 12, 10 ** 6, _gens_fingerprint, tally, kernel)
         parents = []
-        _walk(root_node(12), 11, 10 ** 6, parents.append)
+        _walk([root_node(12)], 11, 10 ** 6, parents.append)
         assert seen == [p for p in parents if p[3] >> p[1] + 1]
         assert len(seen) < len(parents)
         assert sum(tally.values()) == sizes[12] == A007323[12]
 
     def test_kernel_runs_after_the_budget_check(self):
         parents = []
-        _walk(root_node(7), 6, 10 ** 6, parents.append)
+        _walk([root_node(7)], 6, 10 ** 6, parents.append)
         with_children = [p for p in parents if p[3] >> p[1] + 1]
         assert parents[-1] == with_children[-1]  # the walk's last node has children
         n = sum(count_by_genus(7))
         for budget, want in ((n, with_children), (n - 1, with_children[:-1])):
             calls = []
             try:
-                _walk(root_node(7), 7, budget, _one, {}, lambda parent: calls.append(parent) or [])
+                _walk([root_node(7)], 7, budget, _one, {},
+                      lambda parent: calls.append(parent) or [])
             except ResourceLimit:
                 assert budget < n
             assert calls == want
@@ -706,15 +713,49 @@ class TestFusedWalk:
 
 
 class TestSpineSplit:
-    @pytest.mark.parametrize("g", range(0, 15))
+    @pytest.mark.parametrize("g", range(0, 21))
     def test_units_cover_the_walk_once(self, g):
-        spine, units = _spine_split(g)
+        # the spine and the units' walks touch the row's nodes once, and
+        # reach its leaves in the order of the split along first children:
+        # every other child of each spine node in turn, then the last one
         leaves = []
-        nodes = spine + sum(sum(_walk(u, g, 10 ** 6, leaves.append)) for u in units)
+        nodes = max(g - 2, 0) + sum(sum(_walk(_unit(g, i), g, 10 ** 6, leaves.append))
+                                    for i in range(_units(g)))
         assert nodes == sum(count_by_genus(g))
+        node, split = root_node(g), []
+        while node[2] < g - 2:
+            node, *rest = _expand(node)
+            for kid in rest:
+                _walk([kid], g, 10 ** 6, split.append)
+        _walk([node], g, 10 ** 6, split.append)
+        assert leaves == split
         population = []
-        enumerate_genus(g, lambda S: population.append(S.min_generators))
-        assert sorted(tuple(bit_indices(leaf[3])) for leaf in leaves) == sorted(population)
+        _walk([root_node(g)], g, 10 ** 6, population.append)
+        assert sorted(leaves) == sorted(population)
+
+    def test_ordinary_is_the_spine_of_first_children(self):
+        for g in range(26):
+            node = root_node(g)
+            for h in range(max(g - 1, 1)):  # O_0, ..., O_{g-2}
+                assert _ordinary(h, g) == node, (h, g)
+                node = _expand(node)[0]
+
+    def test_a_row_queues_one_record_per_unit(self, monkeypatch):
+        queued, folded = [], []
+        with worker_pool(2, _gens_fingerprint) as pool:
+            fold = pool.fold
+            pool.fold = lambda g, count, budget: (queued.append((g, count)),
+                                                  fold(g, count, budget))[1]
+            pooled = [map_reduce_genus(g, _gens_fingerprint, (0, 0, 0), pool=pool)
+                      for g in range(21)]
+        assert queued == [(g, max(g - 3, 0) + 1) for g in range(21)]
+        monkeypatch.setattr(enumeration, "_fold_unit",
+                            lambda record, *args: folded.append(record[:2])
+                            or _fold_unit(record, *args))
+        for g in range(21):
+            folded.clear()
+            assert map_reduce_genus(g, _gens_fingerprint, (0, 0, 0)) == pooled[g]
+            assert folded == [(g, i) for i in range(max(g - 3, 0) + 1)]
 
     def test_least_nodes_is_at_most_the_walk(self):
         for g in range(0, 21):
@@ -723,20 +764,28 @@ class TestSpineSplit:
             assert _spine_and_units(g, 0) <= _least_nodes(g, nodes) <= nodes, g
 
     def test_a_deep_row_overruns_before_the_split(self, monkeypatch):
-        def no_split(g):
-            raise AssertionError("the split was built")
+        def no_split(g, i):
+            raise AssertionError("a unit was built")
 
-        monkeypatch.setattr(enumeration, "_spine_split", no_split)
+        monkeypatch.setattr(enumeration, "_unit", no_split)
         with pytest.raises(ResourceLimit, match="^node budget exhausted .* genus 600$"):
             map_reduce_genus(600, _one, (0,), node_budget=10)
         # the default budget: the row's leaves alone need more
         with pytest.raises(ResourceLimit, match="^node budget exhausted .* genus 40$"):
             map_reduce_genus(40, _one, (0,))
 
-    def test_largest_unit_is_small(self):
-        spine, units = _spine_split(14)
-        largest = max(sum(_walk(u, 14, 10 ** 6)) for u in units)
-        assert largest <= 0.15 * sum(count_by_genus(14))
+    @pytest.mark.parametrize("g", range(14, 19))
+    def test_a_greedy_queue_finishes_near_ideal(self, g):
+        # in a node-count model, 2, 3 and 4 processes that each take the
+        # next unit when free finish the row within 5% of an even share;
+        # at 8 the largest unit sets the finish (35.8% over at genus 14),
+        # and the bound there catches a further coarsening of the units
+        sizes = [sum(_walk(_unit(g, i), g, 10 ** 6)) for i in range(_units(g))]
+        for processes, bound in ((2, 1.05), (3, 1.05), (4, 1.05), (8, 1.36)):
+            free = [0] * processes
+            for size in sizes:
+                free[free.index(min(free))] += size
+            assert max(free) <= bound * sum(sizes) / processes, (g, processes)
 
 
 def _one(S):
@@ -744,9 +793,8 @@ def _one(S):
 
 
 def _spine_and_units(g, budget):
-    """The row guard without its count of leaves: the spine and a node per unit."""
-    spine, units = _spine_split(g)
-    return spine + len(units)
+    """The row guard without its count of leaves: the spine and the units' nodes."""
+    return max(g - 2, 0) + sum(len(_unit(g, i)) for i in range(_units(g)))
 
 
 def _fail_past_12(leaf):

@@ -327,6 +327,25 @@ class TestSelfcheck:
         with pytest.raises(ResourceLimit, match="genus 8"):
             selfcheck_lgm(range(2, 9), (2,), node_budget=n - 1)
 
+    def test_long_mismatch_lists_keep_their_order_for_any_worker_count(self, monkeypatch):
+        # gm_generic is made to disagree with the criterion at every sampled
+        # leaf at q = 3, so each row lists a mismatch per sampled leaf; the
+        # pooled rows must list them in the order of one process
+        real = survey.gm_generic
+
+        def faulty(S, q):
+            if q == 3:  # q*m + 1 exactly when the criterion says no
+                return 3 * S.multiplicity + 1 + coincidence_criterion(S, q)
+            return real(S, q)
+
+        monkeypatch.setattr(survey, "gm_generic", faulty)
+        rows = [build_lgm_table(range(2, 17), (2, 3, 9), workers=workers,
+                                selfcheck_seed=0, sample_rate=0.25)
+                for workers in (1, 2, 3)]
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        assert [len(r.mismatches) for r in rows[0]] == [r.checked for r in rows[0]]
+        assert sum(r.checked for r in rows[0]) > 1000
+        assert {q for r in rows[0] for q, _ in r.mismatches} == {3}
 
     def test_full_rate_checks_every_leaf(self):
         rows = build_lgm_table(range(0, 10), (2, 3, 9), selfcheck_seed=5, sample_rate=1.0)
@@ -380,7 +399,7 @@ class TestLeafKernels:
     def test_leaves_match_the_bounds_api(self):
         for g in range(15):
             leaves = []
-            _walk(root_node(g), g, 10 ** 6, leaves.append)
+            _walk([root_node(g)], g, 10 ** 6, leaves.append)
             lcm = math.lcm(*range(1, g + 2))
             for leaf in leaves:
                 S = TreeNode.semigroup(leaf)

@@ -8,6 +8,7 @@ to this script.  Run from anywhere:
     python tools/outputs.py --check            # re-run every run, name each that differs
     python tools/outputs.py --capture          # rewrite every digest
     python tools/outputs.py --capture NAME...  # rewrite only the named runs
+    python tools/outputs.py --check --full     # the genus 2..30 runs instead
 
 A change that means to alter some output re-captures only the runs it
 names, in the same commit.  The runs cover both tables in every format at
@@ -15,6 +16,12 @@ genus 0..22 for 1, 2 and 3 workers, the selfcheck, the reference
 comparisons, ``verify``, ``bounds``, ``member`` and the node-budget overruns.
 argparse usage errors are left out, since their text varies across
 Python versions.  The 88 runs take about 20 s (2-core Xeon, Python 3.11).
+
+``--full`` selects a separate group instead: both tables at genus 2..30
+as CSV against the bundled references, lgm with its selfcheck, each on
+one worker per usable CPU (the bytes do not depend on the count).  Their
+stderr digests pin the ``reference match`` and ``selfcheck passed`` lines;
+they take about 45 s with 2 workers on the same host.
 """
 
 import argparse
@@ -76,6 +83,14 @@ def _runs() -> dict[str, list[str]]:
     return runs
 
 
+def _full_runs() -> dict[str, list[str]]:
+    """Run name -> the nsgbounds arguments of the genus 2..30 runs."""
+    table = ["--genus", "2..30", "--format", "csv", "--reference", "auto",
+             "--workers", str(len(os.sched_getaffinity(0)))]
+    return {"full-gmgens": ["table", "gmgens", *table],
+            "full-lgm-selfcheck": ["table", "lgm", *table, "--selfcheck"]}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -94,9 +109,11 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true", help="compare with outputs.json")
     mode.add_argument("--capture", action="store_true", help="rewrite outputs.json")
+    parser.add_argument("--full", action="store_true",
+                        help="the genus 2..30 runs, not the default group")
     parser.add_argument("names", nargs="*", help="only these runs (default: all)")
     args = parser.parse_args(argv)
-    runs = _runs()
+    runs = _full_runs() if args.full else _runs()
     unknown = [name for name in args.names if name not in runs]
     if unknown:
         parser.error(f"no such run: {', '.join(unknown)}")
@@ -110,7 +127,8 @@ def main(argv=None) -> int:
     if args.capture:
         for name in names:
             stored[name] = digest(runs[name])
-        stored = {name: stored[name] for name in runs if name in stored}
+        order = [*_runs(), *_full_runs()]
+        stored = {name: stored[name] for name in order if name in stored}
         with open(DIGESTS, "w", encoding="utf-8") as fh:
             json.dump(stored, fh, indent=1)
             fh.write("\n")
