@@ -59,14 +59,17 @@ after each unit, so an overrun stops the row one unit after it happens.
 The pool for ``workers`` processes forks ``workers`` - 1 of them when
 its ``with`` block is entered, each already holding the fold's leaf
 function and kernel (``_fold_unit``) and its own result pipe; the parent
-folds too.  All of them take units from one non-blocking queue pipe,
-where a fixed-size record names a unit as (genus, unit index, unit
-budget), which each process builds from its spine node; only records
-and the pickled unit results cross between processes.  No thread is
-started: the parent folds units between reading results, and waits on
-the result pipes only when the queue is empty.  A fold that fails or
-stops early kills and reaps the workers, so a pool serves rows only
-until one of them fails (see ``_ForkPool.fold``).
+folds too.  All of them take units from one queue pipe, read without
+blocking, where a fixed-size record names a unit as (genus, unit index,
+unit budget), which each process builds from its spine node; only
+records and the pickled unit results cross between processes.  The row
+guard admits no row past genus 89 (``_least_nodes``), so a row has at
+most 87 records, 1,392 bytes, and the parent writes them to the empty
+queue in one write of at most PIPE_BUF bytes, which a pipe takes whole.
+No thread is started: the parent folds units between reading results,
+and waits on the result pipes only when the queue is empty.  A fold that
+fails or stops early kills and reaps the workers, so a pool serves rows
+only until one of them fails (see ``_ForkPool.fold``).
 
 The pool's ``gc.freeze`` saves time, not memory.  On the gmgens
 benchmark (2 processes), without it the wall time rose 5.8% and the row
@@ -100,7 +103,6 @@ generators and no tuple built per child.
 
 import contextlib
 import gc
-import math
 import operator
 import os
 import pickle
@@ -367,23 +369,19 @@ def _fold_unit(record, map_fn, kernel, tally=None):
 def _least_nodes(g: int, budget: int) -> int:
     """The nodes a walk to genus ``g`` touches at least, summed until they pass ``budget``.
 
-    For g >= 2 these are its g - 2 spine nodes, the nodes of its units
-    (``_unit``: the h side children of each O_h with 0 < h < g - 2, and
-    O_{g-2}), and a bound on the leaves below them.  A node with k
-    effective generators has at least C(k, d) descendants d levels down,
-    since removing its i-th smallest leaves the k - i larger ones
-    effective.  O_{g-2} has g - 1 of them, and the child of O_h that
-    removes h + 1 + j has h - j, plus the new 2h + 3 when j = 1; so the
-    units below O_h reach at least C(h, d) + C(h - 1, d + 1) leaves,
-    d = g - h - 1.
+    The walk touches every semigroup of genus 0..g once, and those of
+    genus h with Frobenius number F below twice their multiplicity m
+    number Fib(h + 1): their members are 0, m, any subset of (m, 2m) and
+    every integer from 2m on, so there are C(m - 1, h - m + 1) of them at
+    each m.  So the walk touches at least Fib(1) + ... + Fib(g + 1) =
+    Fib(g + 3) - 1 nodes.
     """
-    if g < 2:
-        return 1
-    nodes = g - 1 + (g - 2) * (g - 3) // 2 + math.comb(g - 1, 2)
-    for h in range(g - 3, 0, -1):  # from d = 2 up, so a deep row passes the budget in a few terms
+    nodes, fib, after = 0, 1, 1  # Fib(h + 1) and Fib(h + 2) at genus h
+    for _ in range(g + 1):
+        nodes += fib
         if nodes > budget:
             break
-        nodes += math.comb(h, g - h - 1) + math.comb(h - 1, g - h)
+        fib, after = after, fib + after
     return nodes
 
 
@@ -406,11 +404,10 @@ def _unit(g: int, i: int) -> list[tuple]:
 
 
 # A queue record: the genus, the unit's index and its node budget, which
-# is positive, since a row that cannot walk its spine and units is not queued.
+# is positive, since the row guard needs more nodes than the spine.
 _RECORD = struct.Struct("=IIQ")
-# The largest queue write: whole records, at most PIPE_BUF bytes, which a
-# pipe writes at once or not at all.
-_BATCH = select.PIPE_BUF - select.PIPE_BUF % _RECORD.size
+# The largest node budget of a row, which a record's budget field holds.
+_MAX_BUDGET = 2 ** 63 - 1
 
 
 def _send(fd: int, obj) -> None:
@@ -518,8 +515,7 @@ class _ForkPool:
             gc.freeze()
         try:
             self._queue = os.pipe()
-            for fd in self._queue:
-                os.set_blocking(fd, False)
+            os.set_blocking(self._queue[0], False)
             for _ in range(self._size):
                 self._fork()
         except OSError as exc:  # no pipe, or no fork
@@ -584,11 +580,9 @@ class _ForkPool:
     def fold(self, g: int, count: int, budget: int):
         """(tally, nodes walked) of each of the ``count`` units of genus ``g``, in order.
 
-        Each unit is queued as the record (g, index, ``budget``), the
-        budget at most 2**63 - 1, and folded by whichever process takes
-        it, the parent too.  The queue's write end is non-blocking, and the
-        parent tops it up in whole writes of up to PIPE_BUF bytes as
-        records are taken, so ``count`` may pass what a pipe holds.
+        Each unit is queued as the record (g, index, ``budget``) and
+        folded by whichever process takes it, the parent too.  The records
+        go to the empty queue in one write of at most PIPE_BUF bytes.
         An exception from a unit is raised here in its unit's turn.  A
         worker that dies, or a failed read, write or poll of the pool's
         pipes, raises NsgError.  A fold that raises, or whose iterator is
@@ -598,16 +592,13 @@ class _ForkPool:
         if not self._workers:
             raise NsgError("the worker pool is not running")
         queue_r, queue_w = self._queue
-        budget = min(budget, (1 << 63) - 1)
-        records = memoryview(b"".join(_RECORD.pack(g, i, budget) for i in range(count)))
-        sent = 0  # bytes of ``records`` written to the queue
+        records = b"".join(_RECORD.pack(g, i, budget) for i in range(count))
+        assert len(records) <= select.PIPE_BUF, "a row the guard admits fits one write"
         done = {}  # unit index -> (ok, result or exception)
         try:
+            os.write(queue_w, records)  # an empty pipe takes PIPE_BUF bytes whole
             for i in range(count):
                 while i not in done:
-                    if sent < len(records):
-                        with contextlib.suppress(BlockingIOError):  # the queue is full
-                            sent += os.write(queue_w, records[sent:sent + _BATCH])
                     ready = self._results.poll(0)
                     if not ready:
                         record = _take(queue_r)
@@ -703,13 +694,15 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     which take the units from one queue and find them by genus and
     index; the workers send back their tallies.
     Tallies are merged in unit order, so the aggregate and the number of
-    nodes walked do not depend on the pool.  Each unit walks under the
-    budget left after the spine, and the running total is checked after
-    every unit: ``_walk``'s overrun (genus g) is raised, by one unit or by
-    the total, exactly when the row needs more than ``node_budget`` nodes,
-    at most one unit late, and a pool's workers are reaped first.  A row
-    whose spine, unit nodes and least count of leaves (``_least_nodes``)
-    already pass ``node_budget`` raises before a unit is built.
+    nodes walked do not depend on the pool.  ``node_budget`` is capped at
+    2**63 - 1, the most a record carries, with or without a pool.  Each
+    unit walks under the budget left after the spine, and the running
+    total is checked after every unit: ``_walk``'s overrun (genus g) is
+    raised, by one unit or by the total, exactly when the row needs more
+    nodes than the capped budget, at most one unit late, and a pool's
+    workers are reaped first.  A row whose least count of nodes
+    (``_least_nodes``, Fib(g + 3) - 1) already passes the capped budget
+    raises before a unit is built, and so does every row past genus 89.
 
     A pool folds the ``map_fn`` and ``kernel`` it was made with, so
     ValueError is raised, before any unit is queued, if these are others.
@@ -724,6 +717,7 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         raise ValueError("genus must be non-negative")
     if pool is not None and pool.callables != (map_fn, kernel):
         raise ValueError("the pool was made for another map_fn or kernel")
+    node_budget = min(node_budget, _MAX_BUDGET)
     if _least_nodes(g, node_budget) > node_budget:
         raise _overrun(g)
     spine, count = max(g - 2, 0), _units(g)

@@ -2,6 +2,7 @@
 
 import errno
 import gc
+import math
 import os
 import random
 import select
@@ -26,6 +27,7 @@ from nsgbounds import (
 )
 from nsgbounds import enumeration
 from nsgbounds.enumeration import (
+    _MAX_BUDGET,
     _RECORD,
     _add_times,
     _expand,
@@ -75,6 +77,20 @@ class TestCounts:
 
     def test_counts_match_oeis(self):
         assert count_by_genus(18) == list(A007323)
+
+    def test_f_below_twice_m_is_fibonacci(self):
+        # the F < 2m semigroups of genus g are 0, m, any subset of (m, 2m)
+        # and every integer from 2m on: C(m - 1, g - m + 1) of them at
+        # multiplicity m, Fib(g + 1) in all (the row guard rests on this)
+        fib, population = [0, 1], count_by_genus(22)
+        for g in range(23):
+            fib.append(fib[-1] + fib[-2])
+            count, leaves = map_reduce_genus(g, _f_below_2m, (0, 0),
+                                             kernel=_f_below_2m_kernel)[0]
+            assert (count, leaves) == (fib[g + 1], population[g]), g
+        for g in (5, 9, 14):
+            by_m = map_reduce_genus(g, _f_below_2m_at_m, (0,) * (g + 2))[0]
+            assert by_m == (0, *(math.comb(m - 1, g - m + 1) for m in range(1, g + 2))), g
 
     def test_no_duplicates(self):
         for g in range(9):
@@ -316,11 +332,11 @@ class TestMapReduce:
                 map_reduce_genus(8, _one, (0,), pool=pool, node_budget=20)
 
     def test_pooled_overrun_leaves_no_unit_in_flight(self, monkeypatch):
-        # a unit alone overruns 200, which the guard's count of leaves
-        # would refuse before the fold; half the row overruns only in the
-        # parent's running total, with units still queued or in flight;
-        # a genus-13 row raises in every unit.  Each stops its pool before
-        # the fold raises.
+        # a unit alone overruns 200, which the row guard would refuse
+        # before the fold; half the row overruns only in the parent's
+        # running total, with units still queued or in flight; a genus-13
+        # row raises in every unit.  Each stops its pool before the fold
+        # raises.
         monkeypatch.setattr(enumeration, "_least_nodes", _spine_and_units)
         for g, budget, exc in ((12, 200, ResourceLimit),
                                (12, sum(A007323[:13]) // 2, ResourceLimit),
@@ -478,45 +494,12 @@ class TestForkPool:
         assert os.waitpid(pid, 0)[1] == 0
         os.close(result_r)
 
-    def test_a_row_larger_than_the_queue_overruns_as_in_one_process(self, monkeypatch):
-        # a genus-100 row of 5,000 one-leaf units: 80 KB of records, more
-        # than a 64 KiB pipe holds; the budget runs out at unit 4,901, so
-        # the queue was topped up, and the guard counts no leaves
-        monkeypatch.setattr(enumeration, "_units", lambda g: 5000)
-        monkeypatch.setattr(enumeration, "_unit", lambda g, i: [_ordinary(g, g)])
-        monkeypatch.setattr(enumeration, "_least_nodes", lambda g, budget: 0)
-        assert 5000 * _RECORD.size > 65536
-        budget = 98 + 4900  # the spine and 4,900 units
-        assert map_reduce_genus(100, _one, (0,), node_budget=budget + 100) == ((5000,), 5098)
-        with pytest.raises(ResourceLimit):
-            map_reduce_genus(100, _one, (0,), node_budget=budget)
-        with worker_pool(2, _one) as pool:
-            pids = pool.pids
-            with pytest.raises(ResourceLimit) as stopped:
-                map_reduce_genus(100, _one, (0,), node_budget=budget, pool=pool)
-            assert_stopped(pool, pids)
-
-    def test_a_row_larger_than_the_queue_is_folded_in_order(self, monkeypatch):
-        # every node of genus 15, then of genus 14, as a unit of a genus-15
-        # row: 4,550 units, 73 KB of records, more than a 64 KiB pipe holds;
-        # the merged list of leaves shows the order the units were merged in
-        units = []
-        for g in (15, 14):
-            _walk([root_node(15)], g, 10 ** 6, units.append)
-        monkeypatch.setattr(enumeration, "_units", lambda g: len(units))
-        monkeypatch.setattr(enumeration, "_unit", lambda g, i: [units[i]])
-        want = map_reduce_genus(15, _gens_list, (0, ()))
-        # 13 spine nodes, a node per unit, and the genus-14 units' children
-        assert want == ((2 * A007323[15], want[0][1]), 13 + len(units) + A007323[15])
-        with worker_pool(3, _gens_list) as pool:
-            assert map_reduce_genus(15, _gens_list, (0, ()), pool=pool) == want
-
     def test_overrun_then_a_good_fold(self):
         want = map_reduce_genus(12, _gens_fingerprint, (0, 0, 0))
         with worker_pool(2, _gens_fingerprint) as pool:
             pids = pool.pids
             with pytest.raises(ResourceLimit) as stopped:
-                # above the guard's 341, below the row's 1,413 nodes
+                # above the guard's 609, below the row's 1,413 nodes
                 map_reduce_genus(12, _gens_fingerprint, (0, 0, 0), pool=pool, node_budget=1000)
             assert_stopped(pool, pids)
         with worker_pool(2, _gens_fingerprint) as pool:  # the next row takes a fresh pool
@@ -770,9 +753,28 @@ class TestSpineSplit:
         monkeypatch.setattr(enumeration, "_unit", no_split)
         with pytest.raises(ResourceLimit, match="^node budget exhausted .* genus 600$"):
             map_reduce_genus(600, _one, (0,), node_budget=10)
-        # the default budget: the row's leaves alone need more
-        with pytest.raises(ResourceLimit, match="^node budget exhausted .* genus 40$"):
-            map_reduce_genus(40, _one, (0,))
+        # the default budget: the row's least count of nodes needs more
+        for g in (37, 40):
+            with pytest.raises(ResourceLimit, match=f"^node budget exhausted .* genus {g}$"):
+                map_reduce_genus(g, _one, (0,))
+
+    @pytest.mark.usefixtures("deadline")
+    def test_a_budget_past_a_record_is_capped(self):
+        # 10**30 would admit the walk of a genus-90 row, which never ends;
+        # capped at what a record carries, the row overruns at once, with
+        # or without a pool
+        with pytest.raises(ResourceLimit, match="^node budget exhausted .* genus 90$"):
+            map_reduce_genus(90, _one, (0,), node_budget=10 ** 30)
+        with worker_pool(2, _one) as pool:
+            pids = pool.pids
+            with pytest.raises(ResourceLimit, match="^node budget exhausted .* genus 90$"):
+                map_reduce_genus(90, _one, (0,), node_budget=10 ** 30, pool=pool)
+            assert pool.pids == pids  # refused before a record was queued
+
+    def test_the_deepest_admitted_row_fits_one_queue_write(self):
+        deepest = max(g for g in range(100) if _least_nodes(g, _MAX_BUDGET) <= _MAX_BUDGET)
+        assert deepest == 89
+        assert _units(deepest) * _RECORD.size <= select.PIPE_BUF
 
     @pytest.mark.parametrize("g", range(14, 19))
     def test_a_greedy_queue_finishes_near_ideal(self, g):
@@ -792,8 +794,28 @@ def _one(S):
     return (1,)
 
 
+def _f_below_2m(leaf):
+    """(1 if the Frobenius number is below twice the multiplicity, 1)."""
+    return (int(leaf[1] < 2 * leaf[4]), 1)
+
+
+def _f_below_2m_kernel(parent):
+    # the children that remove an effective generator below 2m; at an
+    # ordinary parent that includes m, whose child has F = m < 2(m + 1)
+    _, frobenius, _, gens, m, _ = parent
+    effective = gens >> frobenius + 1 << frobenius + 1
+    below = (effective & (1 << 2 * m) - 1).bit_count()
+    return [((1, 1), below), ((0, 1), effective.bit_count() - below)]
+
+
+def _f_below_2m_at_m(leaf):
+    """Slot m is 1 if leaf has multiplicity m and F < 2m, for m in 0..genus + 1."""
+    m = leaf[4]
+    return tuple(int(j == m and leaf[1] < 2 * m) for j in range(leaf[2] + 2))
+
+
 def _spine_and_units(g, budget):
-    """The row guard without its count of leaves: the spine and the units' nodes."""
+    """A weaker row guard: the spine and the units' nodes."""
     return max(g - 2, 0) + sum(len(_unit(g, i)) for i in range(_units(g)))
 
 
@@ -833,10 +855,6 @@ def _assert_pooled_fold_rejects(slot, map_fn, kernel):
 def _slow_pid(leaf):
     time.sleep(0.001)
     return frozenset({os.getpid()})
-
-
-def _gens_list(leaf):
-    return (1, (tuple(bit_indices(leaf[3])),))
 
 
 def _pipe_ends(pid):
