@@ -21,10 +21,11 @@ from .enumeration import DEFAULT_NODE_BUDGET, check_fork
 from .errors import NsgError, ResourceLimit
 from .semigroup import TwoGenSemigroup, from_generators, is_member, unique_representation
 from .survey import (
+    _compare_parsed,
     _parse_table_csv,
     build_gmgen_table,
     build_lgm_table,
-    compare_tables,
+    compare_tables,  # noqa: F401  perfbench traces cli.compare_tables
     gmgen_csv,
     gmgen_json,
     gmgen_text,
@@ -240,8 +241,10 @@ def _render_table(kind, rows, q_list, fmt):
     return json.dumps(out, indent=2) + "\n" if fmt == "json" else out
 
 
-def _read_reference(kind, path, genus: range, q_list) -> str:
-    """The ``--reference`` CSV, parsed so that a bad one, or one that shares no
+def _read_reference(kind, path, genus: range, q_list) -> dict:
+    """The ``--reference`` CSV's rows in ``genus``, as ``_parse_table_csv`` reads them.
+
+    It is parsed before the walk, so that a bad one, or one that shares no
     genus with ``genus`` or no column with the table and so would compare
     nothing, fails before the walk."""
     if path == "auto":
@@ -250,12 +253,13 @@ def _read_reference(kind, path, genus: range, q_list) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     header, rows = _parse_table_csv(text)
-    if not any(g in genus for g in rows):
+    rows = {g: row for g, row in rows.items() if g in genus}  # the rows a comparison reads
+    if not rows:
         raise ValueError(f"shares no genus with --genus {genus.start}..{genus.stop - 1}")
     columns = _parse_table_csv(_renderer(kind, "csv", q_list)([]))[0]
     if not set(header[1:]) & set(columns[1:]):
         raise ValueError(f"shares no column with the {kind} table")
-    return text
+    return rows
 
 
 def _cmd_table(args, parser) -> int:
@@ -268,8 +272,8 @@ def _cmd_table(args, parser) -> int:
     q_list = TABLE_Q if args.q is None else args.q
     try:
         check_fork(args.workers)
-        ref_text = (None if args.reference is None
-                    else _read_reference(args.kind, args.reference, args.genus, q_list))
+        reference = (None if args.reference is None
+                     else _read_reference(args.kind, args.reference, args.genus, q_list))
         out = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
                else contextlib.nullcontext(sys.stdout))
     except (OSError, NsgError) as exc:
@@ -291,11 +295,12 @@ def _cmd_table(args, parser) -> int:
         except NsgError as exc:  # an overrun, or a pool worker that could not start, or died
             print(f"nsgbounds: {exc}", file=sys.stderr)
             return EXIT_RESOURCE if isinstance(exc, ResourceLimit) else EXIT_OSERR
-        fh.write(_render_table(args.kind, rows, q_list, args.format))
+        text = _render_table(args.kind, rows, q_list, args.format)
+        fh.write(text)
 
-    if ref_text is not None:
-        computed_csv = _renderer(args.kind, "csv", q_list)(rows)
-        compared, deviations = compare_tables(computed_csv, ref_text)
+    if reference is not None:
+        computed_csv = text if args.format == "csv" else _renderer(args.kind, "csv", q_list)(rows)
+        compared, deviations = _compare_parsed(_parse_table_csv(computed_csv)[1], reference)
         for genus, col, got, want in deviations:
             print(f"DEVIATION genus={genus} [{col}]: computed {got}, reference {want}",
                   file=sys.stderr)

@@ -30,13 +30,13 @@ children in turn: a child without an effective generator is counted at
 its parent and never built or pushed.  The last level is
 fused into its parent: a node one genus above the target never pushes
 its children.  A walk without a callback stops there.  Otherwise a
-per-parent kernel evaluates the children: it returns (value, count)
-pairs for all of them at once, and a table kernel reads most values off
-the parent without building a child, since a child differs from its
-parent by one removed generator lam (see ``survey._lgm_kernel``).  A
-leaf function without a kernel gets the per-leaf adapter ``_per_leaf``,
-which expands the parent and hands each child over, so there is still
-one traversal and one fold path.
+per-parent kernel evaluates the children: it counts all of them at once
+into the walk's tally, and a table kernel reads most values off the
+parent without building a child, since a child differs from its parent
+by one removed generator lam (see ``survey._lgm_kernel``).  A leaf
+function without a kernel gets the per-leaf adapter ``_per_leaf``,
+which expands the parent and counts each child's value, so there is
+still one traversal and one fold path.
 A fold tallies identical leaf values and merges each distinct value
 once per fold.
 
@@ -222,9 +222,11 @@ def _new_generators(node: tuple, mask: int) -> int:
     return new
 
 
-def _per_leaf(leaf_fn, parent: tuple) -> list:
-    """The kernel of a leaf function: (leaf_fn(child), 1) per child, in order."""
-    return [(leaf_fn(kid), 1) for kid in _expand(parent)]
+def _per_leaf(leaf_fn, parent: tuple, tally: dict) -> None:
+    """The kernel of a leaf function: counts leaf_fn(child) in ``tally`` per child, in order."""
+    for kid in _expand(parent):
+        value = leaf_fn(kid)
+        tally[value] = tally.get(value, 0) + 1
 
 
 def children(node: TreeNode) -> list[TreeNode]:
@@ -251,18 +253,19 @@ def children(node: TreeNode) -> list[TreeNode]:
 
 def _walk(starts: list, target_genus: int, budget: int, leaf_fn=None,
           tally=None, kernel=None) -> list[int]:
-    """Depth-first walk from the nodes ``starts``, all of one genus, down to ``target_genus``.
+    """Depth-first walk from the nodes ``starts``, all of one genus and window, down to
+    ``target_genus``.
 
     The subtrees of ``starts`` are walked in list order, as one stack.
 
     ``leaf_fn`` (when given) receives each node at the target genus, a
     plain tuple in ``TreeNode`` field order, children taken in
-    increasing removed-generator order.  With a ``tally`` dict, the walk
-    counts there how many leaves gave each value of ``leaf_fn``.  A
-    ``kernel`` (when given) evaluates the children of each node at genus
-    ``target_genus - 1`` that has any (see ``map_reduce_genus``).  Returns
-    ``sizes``: ``sizes[h]`` is the number of nodes touched at genus h,
-    for h in 0..target_genus.
+    increasing removed-generator order.  The walk counts in ``tally``
+    (a fresh dict when None) how many leaves gave each value of
+    ``leaf_fn``.  A ``kernel`` (when given) counts there the children of
+    each node at genus ``target_genus - 1`` that has any (see
+    ``map_reduce_genus``).  Returns ``sizes``: ``sizes[h]`` is the number
+    of nodes touched at genus h, for h in 0..target_genus.
 
     Raises ``_overrun(target_genus)`` as soon as the node count would
     exceed ``budget``, before the parent that crosses it expands or
@@ -275,16 +278,17 @@ def _walk(starts: list, target_genus: int, budget: int, leaf_fn=None,
         raise _overrun(target_genus)
     genus = starts[0][2]
     sizes[genus] = nodes
+    if tally is None:
+        tally = {}
     if genus == target_genus:  # the starts are the only leaves
         if leaf_fn is not None:
             for start in starts:
                 value = leaf_fn(start)
-                if tally is not None:
-                    tally[value] = tally.get(value, 0) + 1
+                tally[value] = tally.get(value, 0) + 1
         return sizes
     if kernel is None and leaf_fn is not None:
         kernel = partial(_per_leaf, leaf_fn)
-    get = None if tally is None else tally.get
+    window_top = starts[0][5].bit_length() - 1  # W - 1: every mirror has bit W - 1 set
     stack = starts[::-1]
     push = stack.append
     while stack:
@@ -297,7 +301,8 @@ def _walk(starts: list, target_genus: int, budget: int, leaf_fn=None,
         if nodes > budget:
             raise _overrun(target_genus)
         if genus < target_genus:  # ``_expand``, pushed by decreasing lam
-            top = mirror.bit_length() - 1 - m
+            top = window_top - m
+            floor = 2 << m
             effective = gens >> frobenius + 1 << frobenius + 1
             if frobenius < m:
                 effective ^= 1 << m
@@ -306,7 +311,7 @@ def _walk(starts: list, target_genus: int, budget: int, leaf_fn=None,
                 high = 1 << lam
                 effective ^= high
                 kid = gens ^ high
-                if not bits & (high - (2 << m)) & (mirror >> top - lam):
+                if not bits & (high - floor) & (mirror >> top - lam):
                     kid |= high << m
                 if kid >> lam + 1:  # else a child without children, counted above
                     push((bits ^ high, lam, genus, kid, m, mirror ^ 1 << top + m - lam))
@@ -314,10 +319,7 @@ def _walk(starts: list, target_genus: int, budget: int, leaf_fn=None,
                 push((bits ^ 1 << m, m, genus, ((1 << m + 1) - 1) << m + 1, m + 1,
                       mirror ^ 1 << top))
         elif kids and kernel is not None:
-            pairs = kernel(node)
-            if get is not None:
-                for value, count in pairs:
-                    tally[value] = get(value, 0) + count
+            kernel(node, tally)
     return sizes
 
 
@@ -330,12 +332,12 @@ def enumerate_genus(g: int, visitor=None, *, node_budget: int = DEFAULT_NODE_BUD
     semigroups visited.
     """
     leaf_fn = None if visitor is None else (lambda node: visitor(TreeNode.semigroup(node)))
-    return _walk([root_node(g)], g, node_budget, leaf_fn)[g]
+    return _walk([root_node(g)], g, operator.index(node_budget), leaf_fn)[g]
 
 
 def count_by_genus(g_max: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
     """Number of numerical semigroups of each genus 0..g_max."""
-    return _walk([root_node(g_max)], g_max, node_budget)
+    return _walk([root_node(g_max)], g_max, operator.index(node_budget))
 
 
 def tuple_add(x: tuple, y: tuple) -> tuple:
@@ -670,15 +672,16 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     and returns a hashable value.
 
     ``kernel`` (when given) evaluates the leaves a parent at a time: it
-    receives each node of genus g - 1 that has children and returns
-    (value, count) pairs, with the counts summing to its number of
-    children and each child's ``map_fn`` value counted once.  Pairs whose
-    values a concatenating slot of ``add_fn`` would order come in the
-    children's order, increasing removed generator.  ``map_fn`` still
-    evaluates a leaf without a parent in the walk, the root at genus 0.
-    Without a kernel each child is built and handed to ``map_fn``
-    (``_per_leaf``).  The walk counts a parent's children before it calls
-    the kernel, so the budget stays exact.
+    is called as ``kernel(parent, tally)`` for each node of genus g - 1
+    that has children, and adds each child's ``map_fn`` value to the
+    unit's ``tally`` dict, value -> count, so that the counts it adds sum
+    to its number of children.  Values that a concatenating slot of
+    ``add_fn`` would order are added in the children's order, increasing
+    removed generator.  ``map_fn`` still evaluates a leaf without a
+    parent in the walk, the root at genus 0.  Without a kernel each child
+    is built and handed to ``map_fn`` (``_per_leaf``).  The walk counts a
+    parent's children before it calls the kernel, so the budget stays
+    exact.
 
     The leaves are tallied by value, and each distinct value is merged
     into ``zero`` once, as ``count`` copies built by doubling with
@@ -694,9 +697,10 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     which take the units from one queue and find them by genus and
     index; the workers send back their tallies.
     Tallies are merged in unit order, so the aggregate and the number of
-    nodes walked do not depend on the pool.  ``node_budget`` is capped at
-    2**63 - 1, the most a record carries, with or without a pool.  Each
-    unit walks under the budget left after the spine, and the running
+    nodes walked do not depend on the pool.  ``node_budget`` is read
+    through ``operator.index``, so a float raises TypeError with or
+    without a pool, and capped at 2**63 - 1, the most a record carries.
+    Each unit walks under the budget left after the spine, and the running
     total is checked after every unit: ``_walk``'s overrun (genus g) is
     raised, by one unit or by the total, exactly when the row needs more
     nodes than the capped budget, at most one unit late, and a pool's
@@ -717,7 +721,7 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
         raise ValueError("genus must be non-negative")
     if pool is not None and pool.callables != (map_fn, kernel):
         raise ValueError("the pool was made for another map_fn or kernel")
-    node_budget = min(node_budget, _MAX_BUDGET)
+    node_budget = min(operator.index(node_budget), _MAX_BUDGET)
     if _least_nodes(g, node_budget) > node_budget:
         raise _overrun(g)
     spine, count = max(g - 2, 0), _units(g)

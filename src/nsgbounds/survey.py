@@ -179,8 +179,8 @@ def _sample_rule(seed: int, sample_rate: float) -> tuple[int, int, int]:
             int(sample_rate * _SAMPLE_PRIME))
 
 
-def _lgm_kernel(q_list, rule, memo, parent):
-    """``_lgm_leaf`` of every child of a raw parent, as (value, count) pairs.
+def _lgm_kernel(q_list, rule, memo, parent, tally):
+    """``_lgm_leaf`` of every child of a raw parent, counted into ``tally``.
 
     ``memo`` is the table's dict of the sufficient flags per (m, l2) and
     the value tuple per set of coincidence and sufficient flags; a pool's
@@ -205,7 +205,7 @@ def _lgm_kernel(q_list, rule, memo, parent):
     generator l != m (else l = m + (l - m) would not be minimal), so
     every one is an offender, and with only one, l2, its child is built.
     """
-    bits, frobenius, _, gens, m, _ = parent
+    bits, frobenius, _, gens, m, mirror = parent
     effective = gens >> frobenius + 1 << frobenius + 1
     above = gens >> m + 1
     l2 = m + (above & -above).bit_length()
@@ -213,19 +213,24 @@ def _lgm_kernel(q_list, rule, memo, parent):
     if rule is not None:
         # A child's sample hash reads its members below lam + 1: the
         # parent's members up to F and every x with F < x < lam, so its
-        # bitmap is B_F + 2**lam - 2**(F + 1).
+        # bitmap is B_F + 2**lam - 2**(F + 1).  Every window bit above F
+        # is set, so B_F - 2**(F + 1) is bits - 2**W.
         a, b, cut = rule
-        base = a * ((bits & (1 << frobenius + 1) - 1) - (1 << frobenius + 1)) + b
+        base = a * (bits - (1 << mirror.bit_length())) + b
         scan = effective ^ built
         while scan:
             low = scan & -scan
             scan ^= low
             if (base + a * low) % _SAMPLE_PRIME < cut:
                 built |= low
-    pairs = [(_lgm_leaf(q_list, rule, kid), 1) for kid in _expand(parent, built)] if built else []
+    get = tally.get
+    if built:
+        for kid in _expand(parent, built):
+            value = _lgm_leaf(q_list, rule, kid)
+            tally[value] = get(value, 0) + 1
     rest = effective ^ built
     if not rest:
-        return pairs
+        return
     plan = memo.get((m, l2))
     if plan is None:
         sufficient, open_q = 0, []
@@ -278,8 +283,7 @@ def _lgm_kernel(q_list, rule, memo, parent):
         if value is None:
             value = memo[key] = (1, *[flags >> i & 1 for i in range(k)],
                                  *[sufficient >> i & 1 for i in range(k)], *_UNCHECKED)
-        pairs.append((value, part.bit_count()))
-    return pairs
+        tally[value] = get(value, 0) + part.bit_count()
 
 
 @lru_cache(maxsize=None)
@@ -298,8 +302,8 @@ def _gmgen_leaf(leaf):
     return (1, n_gm, n_total - n_gm, (n_total - n_gm) * (_portion_scale(leaf[2]) // n_total))
 
 
-def _gmgen_kernel(parent):
-    """``_gmgen_leaf`` of every child of a raw parent, as (value, count) pairs.
+def _gmgen_kernel(parent, tally):
+    """``_gmgen_leaf`` of every child of a raw parent, counted into ``tally``.
 
     Only the child that removes the multiplicity m (of an ordinary
     parent) is built.  Every other child keeps m and the parent's
@@ -309,10 +313,11 @@ def _gmgen_kernel(parent):
     """
     _, frobenius, genus, gens, m, _ = parent
     effective = gens >> frobenius + 1 << frobenius + 1
-    pairs = []
+    get = tally.get
     if frobenius < m:  # its first child removes m
         effective ^= 1 << m
-        pairs.append((_gmgen_leaf(_expand(parent, 1 << m)[0]), 1))
+        value = _gmgen_leaf(_expand(parent, 1 << m)[0])
+        tally[value] = get(value, 0) + 1
     new = _new_generators(parent, effective)
     below = (1 << 2 * m - 1) - 1
     n_gm = (gens & below).bit_count()
@@ -321,9 +326,8 @@ def _gmgen_kernel(parent):
     for kids, gm in ((effective & below, n_gm - 1), (effective & ~below, n_gm)):
         for same, total in ((kids & new, n_total), (kids & ~new, n_total - 1)):
             if same:
-                pairs.append(((1, gm, total - gm, (total - gm) * (lcm // total)),
-                              same.bit_count()))
-    return pairs
+                value = (1, gm, total - gm, (total - gm) * (lcm // total))
+                tally[value] = get(value, 0) + same.bit_count()
 
 
 def _build_rows(genus_range, map_fn, kernel, zero, make_row, workers,
@@ -542,6 +546,11 @@ def compare_tables(computed_csv: str, reference_csv: str):
     """
     _, got = _parse_table_csv(computed_csv)
     _, want = _parse_table_csv(reference_csv)
+    return _compare_parsed(got, want)
+
+
+def _compare_parsed(got: dict, want: dict):
+    """``compare_tables`` of two tables already parsed: ``_parse_table_csv(...)[1]``."""
     compared = 0
     deviations = []
     for genus in sorted(set(got) & set(want)):

@@ -244,6 +244,19 @@ class TestBudget:
         with pytest.raises(ValueError, match="^genus must be non-negative$"):
             walk(-1)
 
+    def test_a_float_budget_raises_in_every_walk(self):
+        # the serial fold, the pooled fold and the walks read the budget
+        # through operator.index, so none of them takes 1e8 for 10**8
+        with pytest.raises(TypeError):
+            map_reduce_genus(6, _one, (0,), node_budget=1e8)
+        with worker_pool(2, _one) as pool:
+            with pytest.raises(TypeError):
+                map_reduce_genus(6, _one, (0,), node_budget=1e8, pool=pool)
+            assert map_reduce_genus(6, _one, (0,), pool=pool) == ((23,), 50)  # nothing queued
+        for walk in (count_by_genus, enumerate_genus):
+            with pytest.raises(TypeError):
+                walk(5, node_budget=1e8)
+
     def test_budget_sufficient(self):
         assert enumerate_genus(5, node_budget=100) == 12
 
@@ -276,9 +289,12 @@ class TestMapReduce:
         # the workers are forked holding the fold, so nothing of it is pickled
         weight = 3
 
-        def kernel(parent):
-            return [((1, weight * value[1]), count)
-                    for value, count in _per_leaf(_gens_fingerprint, parent)]
+        def kernel(parent, tally):
+            kids = {}
+            _per_leaf(_gens_fingerprint, parent, kids)
+            for value, count in kids.items():
+                value = (1, weight * value[1])
+                tally[value] = tally.get(value, 0) + count
 
         map_fn = lambda leaf: (1, weight * _gens_fingerprint(leaf)[1])  # noqa: E731
         serial = map_reduce_genus(11, map_fn, (0, 0), kernel=kernel)
@@ -296,8 +312,8 @@ class TestMapReduce:
 
     def test_parallel_rejects_unpicklable_kernel(self):
         value = _in_workers_unpicklable()
-        _assert_pooled_fold_rejects("kernel", _one, lambda parent: [
-            (value(), count) for _, count in _per_leaf(_one, parent)])
+        _assert_pooled_fold_rejects("kernel", _one, lambda parent, tally: _per_leaf(
+            lambda kid: value(), parent, tally))
 
     def test_a_pool_refuses_other_callables(self):
         with worker_pool(2, _one) as pool:
@@ -636,7 +652,7 @@ class TestFusedWalk:
         for target in range(1, 15):
             seen = []
             sizes = _walk([root_node(14)], target, 10 ** 6,
-                          kernel=lambda parent: seen.append(parent) or [])
+                          kernel=lambda parent, tally: seen.append(parent))
             assert seen == [p for p in levels[target - 1] if p[3] >> p[1] + 1], target
             assert sizes == [len(level) for level in levels[:target + 1]], target
 
@@ -660,9 +676,9 @@ class TestFusedWalk:
     def test_kernel_sees_each_parent_with_children_once(self):
         seen = []
 
-        def kernel(parent):
+        def kernel(parent, tally):
             seen.append(parent)
-            return _per_leaf(_gens_fingerprint, parent)
+            _per_leaf(_gens_fingerprint, parent, tally)
 
         tally = {}
         sizes = _walk([root_node(12)], 12, 10 ** 6, _gens_fingerprint, tally, kernel)
@@ -671,6 +687,18 @@ class TestFusedWalk:
         assert seen == [p for p in parents if p[3] >> p[1] + 1]
         assert len(seen) < len(parents)
         assert sum(tally.values()) == sizes[12] == A007323[12]
+
+    def test_a_kernel_walk_without_a_tally_counts_every_node(self):
+        # the walk hands the kernel one fresh dict of its own
+        tallies = []
+
+        def kernel(parent, tally):
+            tallies.append(tally)
+            _per_leaf(_one, parent, tally)
+
+        assert _walk([root_node(10)], 10, 10 ** 6, kernel=kernel) == count_by_genus(10)
+        assert all(tally is tallies[0] for tally in tallies)
+        assert tallies[0] == {(1,): A007323[10]}
 
     def test_kernel_runs_after_the_budget_check(self):
         parents = []
@@ -682,7 +710,7 @@ class TestFusedWalk:
             calls = []
             try:
                 _walk([root_node(7)], 7, budget, _one, {},
-                      lambda parent: calls.append(parent) or [])
+                      lambda parent, tally: calls.append(parent))
             except ResourceLimit:
                 assert budget < n
             assert calls == want
@@ -799,13 +827,14 @@ def _f_below_2m(leaf):
     return (int(leaf[1] < 2 * leaf[4]), 1)
 
 
-def _f_below_2m_kernel(parent):
+def _f_below_2m_kernel(parent, tally):
     # the children that remove an effective generator below 2m; at an
     # ordinary parent that includes m, whose child has F = m < 2(m + 1)
     _, frobenius, _, gens, m, _ = parent
     effective = gens >> frobenius + 1 << frobenius + 1
     below = (effective & (1 << 2 * m) - 1).bit_count()
-    return [((1, 1), below), ((0, 1), effective.bit_count() - below)]
+    for value, count in (((1, 1), below), ((0, 1), effective.bit_count() - below)):
+        tally[value] = tally.get(value, 0) + count
 
 
 def _f_below_2m_at_m(leaf):
