@@ -10,10 +10,11 @@ median of each side, the relative change of the medians, the distance
 between the quartiles of the parent's runs, and in how many pairs the
 change was better.  A run whose gates fail stops the script.  Example:
 
-    python tools/benchpairs.py ../parent . --workload lgm-serial --pairs 10 \\
-        --seed 701 --seconds 8
+    python tools/benchpairs.py ../parent . --workload lgm-serial --pairs 10 --seed 701
 
-Each run writes its record under its checkout's ``perfbench/out/``.
+Every run lasts the ``run_seconds`` that ``BENCHMARK.json`` fixes, so both
+sides run as the benchmark does.  Each run writes its record under its
+checkout's ``perfbench/out/``.
 """
 
 import argparse
@@ -61,8 +62,6 @@ def main(argv=None) -> int:
                         help="a workload to run (repeatable; default: every one)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     parser.add_argument("--seed", type=int, default=1, help="the first seed (default 1)")
-    parser.add_argument("--seconds", type=int, default=30,
-                        help="--seconds of each run (default 30)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -74,9 +73,9 @@ def main(argv=None) -> int:
         for i, seed in enumerate(range(args.seed, args.seed + args.pairs)):
             sides = [(parent, args.parent), (change, args.change)]
             for runs, checkout in sides[::-1] if i % 2 else sides:
-                runs.append(run_once(checkout, workload, seed, args.seconds))
+                runs.append(run_once(checkout, workload, seed, spec["run_seconds"]))
         print(f"{workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
-              f"{args.seconds} s runs")
+              f"{spec['run_seconds']} s runs")
         print("\n".join(summary(spec["end_to_end"], parent, change)), flush=True)
     return 0
 
