@@ -30,15 +30,15 @@ children in turn: a child without an effective generator is counted at
 its parent and never built or pushed.  The last level is
 fused into its parent: a node one genus above the target never pushes
 its children.  A walk without a callback stops there.  Otherwise a
-per-parent kernel evaluates the children: it counts all of them at once
-into the walk's tally, and a table kernel reads most values off the
-parent without building a child, since a child differs from its parent
-by one removed generator lam (see ``survey._lgm_kernel``).  A leaf
-function without a kernel gets the per-leaf adapter ``_per_leaf``,
-which expands the parent and counts each child's value, so there is
-still one traversal and one fold path.
-A fold tallies identical leaf values and merges each distinct value
-once per fold.
+per-parent kernel counts all the children at once into the walk's
+tally, as values with the children's count-weighted sum, and a table
+kernel reads them off the parent without building most children, since
+a child differs from its parent by one removed generator lam (see
+``survey._lgm_kernel``).  A leaf function without a kernel gets the
+per-leaf adapter ``_per_leaf``, which expands the parent and counts
+each child's value, so there is still one traversal and one fold path.
+A fold tallies identical values and merges each distinct value once
+per fold.
 
 Every fold splits the tree along the spine of ordinary semigroups
 O_h = <h+1, ..., 2h+1> (``_ordinary``).  Every generator of O_h exceeds
@@ -673,19 +673,19 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
 
     ``kernel`` (when given) evaluates the leaves a parent at a time: it
     is called as ``kernel(parent, tally)`` for each node of genus g - 1
-    that has children, and adds each child's ``map_fn`` value to the
-    unit's ``tally`` dict, value -> count, so that the counts it adds sum
-    to its number of children.  Values that a concatenating slot of
-    ``add_fn`` would order are added in the children's order, increasing
-    removed generator.  ``map_fn`` still evaluates a leaf without a
-    parent in the walk, the root at genus 0.  Without a kernel each child
-    is built and handed to ``map_fn`` (``_per_leaf``).  The walk counts a
-    parent's children before it calls the kernel, so the budget stays
-    exact.
+    that has children, and adds values, maybe not the children's own, to
+    the unit's ``tally`` dict, value -> count, whose count-weighted sum
+    under ``add_fn`` is that of its children's ``map_fn`` values.  Values
+    that a concatenating slot of ``add_fn`` would order are added in the
+    children's order, increasing removed generator.  ``map_fn`` still
+    evaluates a leaf without a parent in the walk, the root at genus 0.
+    Without a kernel each child is built and handed to ``map_fn``
+    (``_per_leaf``).  The walk counts a parent's children before it calls
+    the kernel, so the budget stays exact.
 
-    The leaves are tallied by value, and each distinct value is merged
-    into ``zero`` once, as ``count`` copies built by doubling with
-    ``add_fn``, in the order of its first leaf (units in unit order).
+    The values are tallied, and each distinct value is merged into
+    ``zero`` once, as ``count`` copies built by doubling with ``add_fn``,
+    in the order it was first counted (units in unit order).
     ``add_fn`` has to be associative with ``zero`` as its identity; a
     tuple slot that ``tuple_add`` concatenates lists its parts in that
     order.

@@ -13,6 +13,7 @@ Every tally is an exact integer or Fraction; rendering to two decimals
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -182,13 +183,13 @@ def _sample_rule(seed: int, sample_rate: float) -> tuple[int, int, int]:
 def _lgm_kernel(q_list, rule, memo, parent, tally):
     """``_lgm_leaf`` of every child of a raw parent, counted into ``tally``.
 
-    ``memo`` is the table's dict of the sufficient flags per (m, l2) and
-    the value tuple per set of coincidence and sufficient flags; a pool's
-    workers inherit it at the fork and fill their own copies.  The leaf
-    is evaluated on a built child only for the child that removes the
-    multiplicity m (of an ordinary parent), the child that removes l2,
-    and the sampled children, in increasing removed generator lam, so the
-    selfcheck's mismatches keep the leaf order.
+    ``memo`` is the table's dict of the sufficient flags per (m, l2), the
+    value tuple per set of coincidence and sufficient flags, and the k
+    "one-q" values below; a pool's workers inherit it at the fork and fill
+    their own copies.  The leaf is evaluated on a built child only for the
+    child that removes the multiplicity m (of an ordinary parent), the
+    child that removes l2, and the sampled children, in increasing removed
+    generator lam, so the selfcheck's mismatches keep the leaf order.
     Every other child removes some lam > l2, so it keeps l1 = m, l2 and
     the parent's sufficient flags.  Where those do not settle q, it
     coincides unless a generator l of the child has q*(l - m) <= lam
@@ -199,8 +200,13 @@ def _lgm_kernel(q_list, rule, memo, parent, tally):
     parent's generators settles every child: two "offenders" l with
     q*(l - m) <= F a gap fail every child, one fails all but the child
     that removes it, and each q*(l - m) > F fails the child that removes
-    it, unless that child removes l itself.  The children are split by
-    these per-q masks and counted by popcount.  lam + m misses only at
+    it, unless that child removes l itself.  Each q is counted on its own
+    from its mask ``good`` of the children that coincide: where only some
+    do, its popcount goes under the q's one-q value (1 in its coincide
+    slot, 0 in every other), and then every child is counted once under
+    the value of the sufficient flags and of the q where all coincide; so
+    the counts differ from the leaves' but not their count-weighted sums
+    (``map_reduce_genus``'s kernel contract).  lam + m misses only at
     q = 1, where every such child fails already: l - m is a gap for each
     generator l != m (else l = m + (l - m) would not be minimal), so
     every one is an offender, and with only one, l2, its child is built.
@@ -231,20 +237,23 @@ def _lgm_kernel(q_list, rule, memo, parent, tally):
     rest = effective ^ built
     if not rest:
         return
+    k = len(q_list)
     plan = memo.get((m, l2))
     if plan is None:
+        if "one-q" not in memo:  # value i: 1 in q_list[i]'s coincide slot, 0 in every other
+            memo["one-q"] = [(0, *[int(j == i) for j in range(2 * k)], *_UNCHECKED)
+                             for i in range(k)]
         sufficient, open_q = 0, []
         for i, q in enumerate(q_list):
             if q <= (q // m) * l2:
                 sufficient |= 1 << i
             else:
-                open_q.append((1 << i, q))
+                open_q.append((1 << i, q, memo["one-q"][i]))
         plan = memo[m, l2] = (sufficient, open_q)
     sufficient, open_q = plan
     common = sufficient  # flags of the q that every child in ``rest`` coincides at
-    goods = []  # (flag, children in ``rest`` that coincide at its q), for the other q
     hi = rest.bit_length() - 1
-    for flag, q in open_q:
+    for flag, q, one in open_q:
         good = rest
         offender = 0
         scan = above & ((1 << hi // q) - 1)  # generators l with q*(l - m) <= hi
@@ -266,24 +275,13 @@ def _lgm_kernel(q_list, rule, memo, parent, tally):
         if good == rest:
             common |= flag
         elif good:
-            goods.append((flag, good))
-    parts = [(rest, common)]
-    for flag, good in goods:
-        split = []
-        for part, flags in parts:
-            if part & good:
-                split.append((part & good, flags | flag))
-            if part & ~good:
-                split.append((part & ~good, flags))
-        parts = split
-    k = len(q_list)
-    for part, flags in parts:
-        key = flags | sufficient << k
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = (1, *[flags >> i & 1 for i in range(k)],
-                                 *[sufficient >> i & 1 for i in range(k)], *_UNCHECKED)
-        tally[value] = get(value, 0) + part.bit_count()
+            tally[one] = get(one, 0) + good.bit_count()
+    key = common | sufficient << k
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = (1, *[common >> i & 1 for i in range(k)],
+                             *[sufficient >> i & 1 for i in range(k)], *_UNCHECKED)
+    tally[value] = get(value, 0) + rest.bit_count()
 
 
 @lru_cache(maxsize=None)
@@ -364,9 +362,10 @@ def build_lgm_table(genus_range, q_list, *, workers: int = 1,
         _check_q(q)
     if len(set(q_list)) < len(q_list):
         raise ValueError("q values must be distinct")
-    if selfcheck_seed is not None and selfcheck_seed < 0:
-        # random.Random seeds by absolute value, so -s would draw the sample of s
-        raise ValueError("selfcheck_seed must be non-negative")
+    if selfcheck_seed is not None:
+        selfcheck_seed = operator.index(selfcheck_seed)  # 2.0 would draw the sample of 2
+        if selfcheck_seed < 0:  # random.Random seeds by absolute value: -s draws that of s
+            raise ValueError("selfcheck_seed must be non-negative")
     if not 0 <= sample_rate <= 1:
         raise ValueError(f"sample_rate must be between 0 and 1, got {sample_rate!r}")
     k = len(q_list)

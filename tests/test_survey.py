@@ -370,6 +370,13 @@ class TestSelfcheck:
         with pytest.raises(ValueError, match="non-negative"):
             selfcheck_lgm(range(2, 6), (2,), seed=-1)
 
+    def test_a_float_seed_is_rejected(self):
+        # 1.5 would draw a sample of its own, and 2.0 quietly the sample of 2
+        with pytest.raises(TypeError):
+            build_lgm_table(range(2, 9), (2, 3), selfcheck_seed=1.5, sample_rate=0.5)
+        with pytest.raises(TypeError):
+            selfcheck_lgm(range(2, 9), (2, 3), sample_rate=0.5, seed=2.0)
+
     @pytest.mark.parametrize("seed, checked", [(0, 298), (3, 278), (4, 293)])
     def test_non_negative_seeds_keep_their_samples(self, seed, checked):
         rows = build_lgm_table(range(2, 13), (2,), selfcheck_seed=seed, sample_rate=0.2)
@@ -456,6 +463,12 @@ def _kernel_tally(kernel, parent):
     return dict(tally), tally.checked
 
 
+def _slot_sums(counts):
+    """The count-weighted sum of each number slot, all but the last, of a tally's values."""
+    weighted = [[x * count for x in value[:-1]] for value, count in counts.items()]
+    return [sum(slot) for slot in zip(*weighted)]
+
+
 class TestParentKernels:
     """A parent kernel tallies its children as their leaf function would."""
 
@@ -463,14 +476,39 @@ class TestParentKernels:
 
     @pytest.mark.parametrize("sample_rate", [None, 0.3, 1.0])
     def test_lgm_kernel_matches_the_leaves(self, sample_rate):
+        # the kernel may count other values than the children's, with the same
+        # count-weighted slot sums, which are every number a row reads
         rule = None if sample_rate is None else _sample_rule(8, sample_rate)
         sampled = 0
         memo = {}  # one table's memo, filled across the parents as in a fold
         for parent in _parents(14):
-            want = _tally((_lgm_leaf(self.Q, rule, kid), 1) for kid in _expand(parent))
-            assert _kernel_tally(partial(_lgm_kernel, self.Q, rule, memo), parent) == want
-            sampled += len(want[1])
+            counts, checked = _tally((_lgm_leaf(self.Q, rule, kid), 1)
+                                     for kid in _expand(parent))
+            got, got_checked = _kernel_tally(partial(_lgm_kernel, self.Q, rule, memo), parent)
+            assert (_slot_sums(got), got_checked) == (_slot_sums(counts), checked)
+            sampled += len(checked)
         assert (sampled > 1000) == (rule is not None)
+
+    @pytest.mark.parametrize("seed, rate", [(None, 0.01), (4, 0.25)])
+    def test_kernel_rows_equal_leaf_rows(self, monkeypatch, seed, rate):
+        # several of these q are partial at one parent; with a sample every
+        # sampled leaf mismatches at every q, so the mismatch lists show their order
+        q_list = (1, 2, 3, 4, 5, 7, 8, 9, 16, 256)
+        k = len(q_list)
+        criterion = survey.coincidence_criterion
+        monkeypatch.setattr(survey, "coincidence_criterion", lambda S, q: not criterion(S, q))
+        rule = None if seed is None else _sample_rule(seed, rate)
+        leaf = partial(_lgm_leaf, q_list, rule)
+        want = []
+        for g in range(17):  # the leaf function alone, with no kernel
+            acc, _ = map_reduce_genus(g, leaf, (0,) * (1 + 2 * k) + survey._UNCHECKED)
+            want.append(survey.LgmTableRow(g, acc[0], dict(zip(q_list, acc[1:1 + k])),
+                                           dict(zip(q_list, acc[1 + k:1 + 2 * k])),
+                                           *acc[1 + 2 * k:]))
+        assert seed is None or sum(len(row.mismatches) for row in want) > 10000
+        for workers in (1, 2):
+            assert build_lgm_table(range(17), q_list, workers=workers, selfcheck_seed=seed,
+                                   sample_rate=rate) == want
 
     def test_gmgen_kernel_matches_the_leaves(self):
         for parent in _parents(14):

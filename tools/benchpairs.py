@@ -8,7 +8,9 @@ and share its drift.  It then prints, for every
 end-to-end metric of the changed checkout's ``BENCHMARK.json``, the
 median of each side, the relative change of the medians, the distance
 between the quartiles of the parent's runs, and in how many pairs the
-change was better.  A run whose gates fail stops the script.  Example:
+change was better.  Its first line gives each checkout's line count of
+``src/nsgbounds/*.py``, the size reported next to the timings.  A run
+whose gates fail stops the script.  Example:
 
     python tools/benchpairs.py ../parent . --workload lgm-serial --pairs 10 --seed 701
 
@@ -18,6 +20,7 @@ checkout's ``perfbench/out/``.
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -36,6 +39,15 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
         sys.exit(f"benchpairs: {workload} seed {seed} failed in {checkout} "
                  f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def src_lines(checkout: str) -> int:
+    """The number of lines in ``checkout``'s ``src/nsgbounds/*.py``."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "nsgbounds", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def summary(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
@@ -68,6 +80,9 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    lines = src_lines(args.parent), src_lines(args.change)
+    print(f"src/nsgbounds/*.py: parent {lines[0]} lines, change {lines[1]} "
+          f"({lines[1] - lines[0]:+d})", flush=True)
     for workload in workloads:
         parent, change = [], []
         for i, seed in enumerate(range(args.seed, args.seed + args.pairs)):
