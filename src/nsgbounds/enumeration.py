@@ -62,14 +62,13 @@ function and kernel (``_fold_unit``) and its own result pipe; the parent
 folds too.  All of them take units from one queue pipe, read without
 blocking, where a fixed-size record names a unit as (genus, unit index,
 unit budget), which each process builds from its spine node; only
-records and the pickled unit results cross between processes.  The row
-guard admits no row past genus 89 (``_least_nodes``), so a row has at
-most 87 records, 1,392 bytes, and the parent writes them to the empty
-queue in one write of at most PIPE_BUF bytes, which a pipe takes whole.
-No thread is started: the parent folds units between reading results,
-and waits on the result pipes only when the queue is empty.  A fold that
-fails or stops early kills and reaps the workers, so a pool serves rows
-only until one of them fails (see ``_ForkPool.fold``).
+records and the pickled unit results cross between processes.  The
+parent writes each 16-byte record on its own, which any pipe takes whole
+(POSIX makes every write of up to 512 bytes atomic).  No thread is
+started: the parent folds units between reading results, and waits on
+the result pipes only when the queue is empty.  A fold that fails or
+stops early kills and reaps the workers, so a pool serves rows only
+until one of them fails (see ``_ForkPool.fold``).
 
 The pool's ``gc.freeze`` saves time, not memory.  On the gmgens
 benchmark (2 processes), without it the wall time rose 5.8% and the row
@@ -328,11 +327,13 @@ def enumerate_genus(g: int, visitor=None, *, node_budget: int = DEFAULT_NODE_BUD
 
     ``visitor`` (when given) receives each semigroup as a
     NumericalSemigroup, in depth-first order with children taken in
-    increasing removed-generator order.  Returns the number of
-    semigroups visited.
+    increasing removed-generator order; what it returns is dropped.
+    Returns the number of semigroups visited.
     """
-    leaf_fn = None if visitor is None else (lambda node: visitor(TreeNode.semigroup(node)))
-    return _walk([root_node(g)], g, operator.index(node_budget), leaf_fn)[g]
+    def leaf_fn(node):  # the walk tallies None, not what the visitor returns
+        visitor(TreeNode.semigroup(node))
+    return _walk([root_node(g)], g, operator.index(node_budget),
+                 None if visitor is None else leaf_fn)[g]
 
 
 def count_by_genus(g_max: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
@@ -439,10 +440,8 @@ def _recv(fd: int):
 def _take(queue: int):
     """The next record of the non-blocking ``queue``, or None if it is empty.
 
-    Raises EOFError once it is empty and its write end closed.  Every
-    write to the queue is a whole number of records of at most PIPE_BUF
-    bytes, which a pipe writes at once, and every read asks for one
-    record, so a read never returns part of one.
+    Raises EOFError once it is empty and its write end closed.  A read
+    asks for one record, and each write was one, which a pipe takes whole.
     """
     try:
         record = os.read(queue, _RECORD.size)
@@ -582,23 +581,21 @@ class _ForkPool:
     def fold(self, g: int, count: int, budget: int):
         """(tally, nodes walked) of each of the ``count`` units of genus ``g``, in order.
 
-        Each unit is queued as the record (g, index, ``budget``) and
-        folded by whichever process takes it, the parent too.  The records
-        go to the empty queue in one write of at most PIPE_BUF bytes.
-        An exception from a unit is raised here in its unit's turn.  A
-        worker that dies, or a failed read, write or poll of the pool's
-        pipes, raises NsgError.  A fold that raises, or whose iterator is
-        closed early, stops the pool: its workers are killed and reaped,
-        and a later fold raises NsgError.
+        Each unit is queued as the record (g, index, ``budget``), one
+        write each in unit order, and folded by whichever process takes
+        it, the parent too.  An exception from a unit is raised here in
+        its unit's turn.  A worker that dies, or a failed read, write or
+        poll of the pool's pipes, raises NsgError.  A fold that raises, or
+        whose iterator is closed early, stops the pool: its workers are
+        killed and reaped, and a later fold raises NsgError.
         """
         if not self._workers:
             raise NsgError("the worker pool is not running")
         queue_r, queue_w = self._queue
-        records = b"".join(_RECORD.pack(g, i, budget) for i in range(count))
-        assert len(records) <= select.PIPE_BUF, "a row the guard admits fits one write"
         done = {}  # unit index -> (ok, result or exception)
         try:
-            os.write(queue_w, records)  # an empty pipe takes PIPE_BUF bytes whole
+            for i in range(count):  # any pipe takes a write of one record whole
+                os.write(queue_w, _RECORD.pack(g, i, budget))
             for i in range(count):
                 while i not in done:
                     ready = self._results.poll(0)
@@ -650,8 +647,10 @@ def worker_pool(workers: int, map_fn, kernel=None):
     block ends.  A fold that raises, or is closed early, kills and reaps
     the workers at once, and the pool folds nothing more (NsgError).  A
     worker that cannot be started raises NsgError on entry, and so does
-    the call where the platform cannot fork (``check_fork``).
+    the call where the platform cannot fork (``check_fork``).  A float
+    ``workers`` raises TypeError here (``operator.index``).
     """
+    workers = operator.index(workers)
     check_fork(workers)
     return contextlib.nullcontext() if workers <= 1 else _ForkPool(workers, map_fn, kernel)
 

@@ -17,6 +17,7 @@ from nsgbounds import (
     NsgError,
     ResourceLimit,
     TreeNode,
+    build_gmgen_table,
     children,
     count_by_genus,
     enumerate_genus,
@@ -107,6 +108,17 @@ class TestVisitorSemigroups:
             for S in pop:
                 assert S.genus == g
                 assert from_generators(S.min_generators) == S
+
+    def test_the_visitors_return_value_is_not_tallied(self):
+        for g in (0, 5):
+            seen = []
+
+            def visit(S):
+                seen.append(gap_mask(S))
+                return S.gaps()  # a list, which no tally can hold
+
+            assert enumerate_genus(g, visit) == A007323[g]
+            assert len(set(seen)) == len(seen) == A007323[g]
 
     def test_deterministic_order(self):
         first, second = [], []
@@ -510,6 +522,26 @@ class TestForkPool:
         assert os.waitpid(pid, 0)[1] == 0
         os.close(result_r)
 
+    def test_a_row_past_the_posix_pipe_buf_folds_whole(self, monkeypatch):
+        # 40 records, 640 bytes, pass the 512 bytes that POSIX makes atomic
+        # for one write; every record past the seventh names the last unit
+        monkeypatch.setattr(select, "PIPE_BUF", 512)
+        monkeypatch.setattr(enumeration, "_units", lambda g: 40)
+        assert [_unit(10, i) for i in range(7, 40)] == [[_ordinary(8, 10)]] * 33
+        last = _walk([_ordinary(8, 10)], 10, 10 ** 6)[10]
+        serial = map_reduce_genus(10, _one, (0,))
+        assert serial[0] == (A007323[10] + 32 * last,)
+        with worker_pool(2, _one) as pool:
+            assert map_reduce_genus(10, _one, (0,), pool=pool) == serial
+
+    @pytest.mark.parametrize("workers", [0.5, 2.0])
+    def test_a_float_worker_count_raises_before_any_fork(self, monkeypatch, workers):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        with pytest.raises(TypeError):
+            worker_pool(workers, _one)
+        with pytest.raises(TypeError):
+            build_gmgen_table(range(2, 6), workers=workers)
+
     def test_overrun_then_a_good_fold(self):
         want = map_reduce_genus(12, _gens_fingerprint, (0, 0, 0))
         with worker_pool(2, _gens_fingerprint) as pool:
@@ -799,10 +831,9 @@ class TestSpineSplit:
                 map_reduce_genus(90, _one, (0,), node_budget=10 ** 30, pool=pool)
             assert pool.pids == pids  # refused before a record was queued
 
-    def test_the_deepest_admitted_row_fits_one_queue_write(self):
+    def test_the_guard_admits_no_row_past_genus_89_at_the_cap(self):
         deepest = max(g for g in range(100) if _least_nodes(g, _MAX_BUDGET) <= _MAX_BUDGET)
         assert deepest == 89
-        assert _units(deepest) * _RECORD.size <= select.PIPE_BUF
 
     @pytest.mark.parametrize("g", range(14, 19))
     def test_a_greedy_queue_finishes_near_ideal(self, g):

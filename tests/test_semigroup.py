@@ -39,6 +39,10 @@ class TestFromGenerators:
         assert S.genus == 0
         assert S.min_generators == (1,)
 
+    def test_repr_names_the_generators_conductor_and_genus(self):
+        assert repr(from_generators([5, 7, 18])) == (
+            "NumericalSemigroup(min_generators=(5, 7, 18), conductor=17, genus=10)")
+
     def test_counterexample_semigroup(self):
         S = from_generators([5, 7, 18])
         assert S.members(20) == [0, 5, 7, 10, 12, 14, 15, 17, 18, 19]

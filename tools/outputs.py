@@ -85,8 +85,11 @@ def _runs() -> dict[str, list[str]]:
 
 def _full_runs() -> dict[str, list[str]]:
     """Run name -> the nsgbounds arguments of the genus 2..30 runs."""
+    # macOS lacks sched_getaffinity; the bytes do not depend on the count
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     table = ["--genus", "2..30", "--format", "csv", "--reference", "auto",
-             "--workers", str(len(os.sched_getaffinity(0)))]
+             "--workers", str(workers)]
     return {"full-gmgens": ["table", "gmgens", *table],
             "full-lgm-selfcheck": ["table", "lgm", *table, "--selfcheck"]}
 
