@@ -698,7 +698,8 @@ def map_reduce_genus(g: int, map_fn, zero, add_fn=tuple_add, *,
     Tallies are merged in unit order, so the aggregate and the number of
     nodes walked do not depend on the pool.  ``node_budget`` is read
     through ``operator.index``, so a float raises TypeError with or
-    without a pool, and capped at 2**63 - 1, the most a record carries.
+    without a pool, and capped at 2**63 - 1, which a record's unsigned
+    64-bit budget field holds.
     Each unit walks under the budget left after the spine, and the running
     total is checked after every unit: ``_walk``'s overrun (genus g) is
     raised, by one unit or by the total, exactly when the row needs more

@@ -82,13 +82,13 @@ class TestCounts:
     def test_f_below_twice_m_is_fibonacci(self):
         # the F < 2m semigroups of genus g are 0, m, any subset of (m, 2m)
         # and every integer from 2m on: C(m - 1, g - m + 1) of them at
-        # multiplicity m, Fib(g + 1) in all (the row guard rests on this)
+        # multiplicity m, Fib(g + 1) in all (the row guard rests on this);
+        # the F < 3m ones are counted without the walk, by _f_below_3m
         fib, population = [0, 1], count_by_genus(22)
         for g in range(23):
             fib.append(fib[-1] + fib[-2])
-            count, leaves = map_reduce_genus(g, _f_below_2m, (0, 0),
-                                             kernel=_f_below_2m_kernel)[0]
-            assert (count, leaves) == (fib[g + 1], population[g]), g
+            counts = map_reduce_genus(g, _f_below_2m, (0, 0, 0), kernel=_f_below_2m_kernel)[0]
+            assert counts == (fib[g + 1], _f_below_3m(g), population[g]), g
         for g in (5, 9, 14):
             by_m = map_reduce_genus(g, _f_below_2m_at_m, (0,) * (g + 2))[0]
             assert by_m == (0, *(math.comb(m - 1, g - m + 1) for m in range(1, g + 2))), g
@@ -854,18 +854,54 @@ def _one(S):
 
 
 def _f_below_2m(leaf):
-    """(1 if the Frobenius number is below twice the multiplicity, 1)."""
-    return (int(leaf[1] < 2 * leaf[4]), 1)
+    """(1 if the Frobenius number F is below twice the multiplicity m, 1 if F < 3m, 1)."""
+    return (int(leaf[1] < 2 * leaf[4]), int(leaf[1] < 3 * leaf[4]), 1)
 
 
 def _f_below_2m_kernel(parent, tally):
-    # the children that remove an effective generator below 2m; at an
-    # ordinary parent that includes m, whose child has F = m < 2(m + 1)
+    # the children that remove an effective generator below 2m, and below
+    # 3m; at an ordinary parent that includes m, whose child has F = m < 2(m + 1)
     _, frobenius, _, gens, m, _ = parent
     effective = gens >> frobenius + 1 << frobenius + 1
-    below = (effective & (1 << 2 * m) - 1).bit_count()
-    for value, count in (((1, 1), below), ((0, 1), effective.bit_count() - below)):
+    below2 = (effective & (1 << 2 * m) - 1).bit_count()
+    below3 = (effective & (1 << 3 * m) - 1).bit_count()
+    for value, count in (((1, 1, 1), below2), ((0, 1, 1), below3 - below2),
+                         ((0, 0, 1), effective.bit_count() - below3)):
         tally[value] = tally.get(value, 0) + count
+
+
+def _f_below_3m(g):
+    """The number of genus-g semigroups with Frobenius number F < 3m, not walked.
+
+    With n = m - 1, such a semigroup is 0, m, m + A, 2m, 2m + B and every
+    integer from 3m on, for offset sets A, B in 1..n.  It is closed iff B
+    holds C(A): A and every a + a' <= n with a, a' in A.  Its genus is
+    3n - |A| - |B|, so given A there are C(n - |C(A)|, |B| - |C(A)|) sets
+    B.  A grows depth-first by increasing offsets; the loop prunes where
+    |A| + |C(A)| passes 3n - g (both only grow), and where the offsets left
+    cannot bring |A| up to 2n - g (since |B| <= n).
+    """
+    total = 0
+    for m in range(1, g + 2):
+        n = m - 1
+        room, need, mask = 3 * n - g, 2 * n - g, (1 << n + 1) - 2  # |A| + |B|, least |A|
+        if room < 0:
+            continue
+
+        def count(first, a, size, c):
+            # a and c are A and C(A) as bitsets of offsets, size is |A|
+            out = math.comb(n - c.bit_count(), room - size - c.bit_count()) if size >= need else 0
+            for offset in range(first, n + 1):
+                if size + n - offset + 1 < need:
+                    break
+                grown = a | 1 << offset
+                closed = c | (1 << offset | grown << offset) & mask
+                if size + 1 + closed.bit_count() <= room:
+                    out += count(offset + 1, grown, size + 1, closed)
+            return out
+
+        total += count(1, 0, 0, 0)
+    return total
 
 
 def _f_below_2m_at_m(leaf):

@@ -443,14 +443,16 @@ def _tally(pairs):
 
 
 class _Writes(dict):
-    """A tally that lists the checked values it is given, in the order they are counted."""
+    """A tally that lists the values it is given, and the checked ones, in the order
+    they are counted."""
 
     def __init__(self):
         super().__init__()
-        self.checked = []
+        self.checked, self.written = [], []
 
     def __setitem__(self, value, count):
         assert count > self.get(value, 0)
+        self.written.append(value)
         if value[-2]:
             self.checked.append(value)
         super().__setitem__(value, count)
@@ -488,6 +490,33 @@ class TestParentKernels:
             assert (_slot_sums(got), got_checked) == (_slot_sums(counts), checked)
             sampled += len(checked)
         assert (sampled > 1000) == (rule is not None)
+
+    def test_lgm_kernel_counts_unbuilt_children_under_shared_plan_values(self, monkeypatch):
+        # but for its built children's leaf values, every population-1 value the
+        # kernel writes is a plan's: the sufficient test settles each q it flags,
+        # so its coincide slots equal its sufficient slots; the open q come in
+        # population-0 one-q values, and each value is one object across parents
+        built = []
+
+        def leaf(*args):
+            built.append(_lgm_leaf(*args))
+            return built[-1]
+
+        monkeypatch.setattr(survey, "_lgm_leaf", leaf)
+        k = len(self.Q)
+        memo, shared, plan_writes = {}, {}, 0
+        for parent in _parents(14):
+            built.clear()
+            tally = _Writes()
+            _lgm_kernel(self.Q, None, memo, parent, tally)
+            for value in tally.written:
+                if any(value is kid for kid in built):
+                    continue
+                assert shared.setdefault(value, value) is value
+                if value[0]:
+                    assert value[1:1 + k] == value[1 + k:1 + 2 * k], (parent, value)
+                    plan_writes += 1
+        assert plan_writes > 1000
 
     @pytest.mark.parametrize("seed, rate", [(None, 0.01), (4, 0.25)])
     def test_kernel_rows_equal_leaf_rows(self, monkeypatch, seed, rate):

@@ -16,7 +16,11 @@ whose gates fail stops the script.  Example:
 
 Every run lasts the ``run_seconds`` that ``BENCHMARK.json`` fixes, so both
 sides run as the benchmark does.  Each run writes its record under its
-checkout's ``perfbench/out/``.
+checkout's ``perfbench/out/``.  ``peak_rss_mb`` moves with the length of a
+checkout's path and ``setup_s`` with compiled bytecode, so the script
+refuses, before any run, two checkouts whose absolute roots differ in
+length or either of which holds ``src/nsgbounds/__pycache__``, and its runs
+write no bytecode.
 """
 
 import argparse
@@ -32,13 +36,28 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     """The metric values of one untraced perfbench run in ``checkout``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=False)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if proc.returncode or not result.get("correct"):
         sys.exit(f"benchpairs: {workload} seed {seed} failed in {checkout} "
                  f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def unequal(parent: str, change: str) -> str | None:
+    """Why the two checkouts cannot be timed against each other, or None."""
+    roots = [os.path.abspath(parent), os.path.abspath(change)]
+    if len(roots[0]) != len(roots[1]):
+        return (f"checkout roots differ in length: {roots[0]} ({len(roots[0])}) "
+                f"and {roots[1]} ({len(roots[1])})")
+    for root in roots:
+        cache = os.path.join(root, "src", "nsgbounds", "__pycache__")
+        if os.path.exists(cache):
+            return f"{cache} holds bytecode; remove it"
+    return None
 
 
 def src_lines(checkout: str) -> int:
@@ -77,6 +96,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
+    reason = unequal(args.parent, args.change)
+    if reason:
+        sys.exit(f"benchpairs: {reason}")
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]

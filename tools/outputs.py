@@ -18,10 +18,13 @@ argparse usage errors are left out, since their text varies across
 Python versions.  The 88 runs take about 20 s (2-core Xeon, Python 3.11).
 
 ``--full`` selects a separate group instead: both tables at genus 2..30
-as CSV against the bundled references, lgm with its selfcheck, each on
-one worker per usable CPU (the bytes do not depend on the count).  Their
-stderr digests pin the ``reference match`` and ``selfcheck passed`` lines;
-they take about 45 s with 2 workers on the same host.
+against the bundled references, each on one worker per usable CPU (the
+bytes do not depend on the count), as CSV (lgm with its selfcheck) and as
+JSON.  The stderr digests pin the ``reference match`` and ``selfcheck
+passed`` lines.  The CSV cells print two decimals, so the JSON runs pin
+the exact counts, and ``--check`` also compares each JSON row's
+population with OEIS A007323, which does not come from this code.  The
+four runs take about 75 s with 2 workers on the same host.
 """
 
 import argparse
@@ -34,6 +37,13 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 DIGESTS = os.path.join(HERE, "outputs.json")
+
+# OEIS A007323: the number of numerical semigroups of genus g, g = 0..30
+# (Bras-Amoros, Semigroup Forum 76, 2008), as in perfbench/workloads.py.
+A007323 = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693,
+           2857, 4806, 8045, 13467, 22464, 37396, 62194, 103246, 170963,
+           282828, 467224, 770832, 1270267, 2091030, 3437839, 5646773)
+FULL_GENUS = range(2, 31)
 
 
 def _runs() -> dict[str, list[str]]:
@@ -88,23 +98,45 @@ def _full_runs() -> dict[str, list[str]]:
     # macOS lacks sched_getaffinity; the bytes do not depend on the count
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-    table = ["--genus", "2..30", "--format", "csv", "--reference", "auto",
+    table = ["--genus", f"{FULL_GENUS[0]}..{FULL_GENUS[-1]}", "--reference", "auto",
              "--workers", str(workers)]
-    return {"full-gmgens": ["table", "gmgens", *table],
-            "full-lgm-selfcheck": ["table", "lgm", *table, "--selfcheck"]}
+    return {"full-gmgens": ["table", "gmgens", *table, "--format", "csv"],
+            "full-lgm-selfcheck": ["table", "lgm", *table, "--format", "csv", "--selfcheck"],
+            "full-gmgens-json": ["table", "gmgens", *table, "--format", "json"],
+            "full-lgm-json": ["table", "lgm", *table, "--format", "json"]}
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(args: list[str]) -> dict:
-    """{"stdout", "stderr", "exit"} of one ``python -m nsgbounds`` run."""
+def run(args: list[str]) -> subprocess.CompletedProcess:
+    """One ``python -m nsgbounds`` run on this checkout's ``src/``, output captured."""
     env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-m", "nsgbounds", *args], env=env,
+    return subprocess.run([sys.executable, "-m", "nsgbounds", *args], env=env,
                           capture_output=True, check=False)
+
+
+def digest(proc: subprocess.CompletedProcess) -> dict:
+    """{"stdout", "stderr", "exit"} of one run."""
     return {"stdout": _sha(proc.stdout), "stderr": _sha(proc.stderr),
             "exit": proc.returncode}
+
+
+def population_errors(stdout: bytes) -> list[str]:
+    """How a full JSON run's rows differ from A007323 (empty when every row matches)."""
+    try:
+        rows = json.loads(stdout)["rows"]
+    except (ValueError, KeyError, TypeError):
+        return ["stdout is not a table in JSON"]
+    errors = []
+    genera = [row["genus"] for row in rows]
+    if genera != list(FULL_GENUS):
+        errors.append(f"rows of genus {genera}, not {FULL_GENUS[0]}..{FULL_GENUS[-1]}")
+    errors += [f"genus {row['genus']} population {row['population']}, "
+               f"A007323 {A007323[row['genus']]}"
+               for row in rows if row["population"] != A007323[row["genus"]]]
+    return errors
 
 
 def main(argv=None) -> int:
@@ -129,7 +161,7 @@ def main(argv=None) -> int:
 
     if args.capture:
         for name in names:
-            stored[name] = digest(runs[name])
+            stored[name] = digest(run(runs[name]))
         order = [*_runs(), *_full_runs()]
         stored = {name: stored[name] for name in order if name in stored}
         with open(DIGESTS, "w", encoding="utf-8") as fh:
@@ -140,13 +172,20 @@ def main(argv=None) -> int:
 
     differ = []
     for name in names:
-        got = digest(runs[name])
+        proc = run(runs[name])
+        got = digest(proc)
         want = stored.get(name)
         if got != want:
             parts = ("not captured" if want is None else
                      ", ".join(key for key in got if got[key] != want[key]))
             differ.append(name)
             print(f"DIFFERS {name} ({parts}): nsgbounds {' '.join(runs[name])}")
+        if name.startswith("full-") and name.endswith("-json"):
+            errors = population_errors(proc.stdout)
+            for error in errors:
+                print(f"A007323 {name}: {error}")
+            if errors and name not in differ:
+                differ.append(name)
     if differ:
         print(f"{len(differ)} of {len(names)} runs differ")
         return 1
